@@ -13,7 +13,7 @@ namespace bccs {
 /// 8-byte carry buffer makes the digest independent of how the input is
 /// chunked across Update() calls, so a writer hashing per-section and a
 /// loader hashing the whole payload in one call agree. Shared by the
-/// snapshot payload/delta-block checksums (graph/snapshot.cc) and the
+/// snapshot payload checksum (graph/snapshot.cc) and the
 /// changelog record/segment checksums (graph/changelog.cc).
 class Fnv1a64 {
  public:

@@ -1,5 +1,6 @@
-// Rotated-changelog durability tests: append/rotate/scan round trips,
-// per-byte torn-tail recovery, hard rejection of non-tail corruption,
+// Rotated-changelog durability tests: append/rotate/scan round trips
+// (effective source stamp, replay bit-identical to a fresh index build,
+// rejection of a record that does not apply), per-byte torn-tail recovery, hard rejection of non-tail corruption,
 // compaction folds (including crash idempotency via leftover stale
 // segments and temp files), and the serve engine's durable-ack contract
 // through AttachDurability.
@@ -30,14 +31,15 @@ namespace bccs {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::ExpectIndexMatchesFreshBuild;
 using testing::MakeRandomGraph;
 
 // Changelog's mutators and counters REQUIRE the commit lock; these helpers
 // take it around the single-threaded test call sites.
 bool LockedAppend(Changelog& log, std::span<const EdgeUpdate> updates,
-                  std::string* error) {
+                  std::string* error, const SourceGraphInfo& stamp = {}) {
   MutexLock commit(log.commit_mutex());
-  return log.Append(updates, {}, error);
+  return log.Append(updates, stamp, error);
 }
 
 struct LogCounters {
@@ -133,7 +135,8 @@ TEST_F(ChangelogTest, AppendRotateScanRoundTrip) {
   LabeledGraph g = MakeRandomGraph(30, 0.2, 3, 900);
   BcIndex index(g);
   index.MaterializeAllPairs();
-  ASSERT_TRUE(SaveSnapshot(index, path_));
+  const SourceGraphInfo base_stamp{100, 200};
+  ASSERT_TRUE(SaveSnapshot(index, path_, nullptr, base_stamp));
 
   ChangelogOptions opts;
   opts.fsync = FsyncPolicy::kEveryAppend;
@@ -144,11 +147,15 @@ TEST_F(ChangelogTest, AppendRotateScanRoundTrip) {
   ASSERT_NE(log, nullptr) << error;
   EXPECT_EQ(st.segments, 0u);
 
+  // Record i is stamped {300 + i, 400 + i}: the source graph the snapshot
+  // represents once it is replayed.
   const auto batches = DeleteBatches(g, 5);
   std::vector<EdgeUpdate> all;
-  for (const auto& b : batches) {
-    ASSERT_TRUE(LockedAppend(*log, std::span<const EdgeUpdate>(b), &error)) << error;
-    all.insert(all.end(), b.begin(), b.end());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    const SourceGraphInfo stamp{300 + i, 400 + i};
+    ASSERT_TRUE(LockedAppend(*log, std::span<const EdgeUpdate>(batches[i]), &error, stamp))
+        << error;
+    all.insert(all.end(), batches[i].begin(), batches[i].end());
   }
   // 5 records at 2 per segment: segments 1 and 2 sealed, 3 is the live tail.
   EXPECT_EQ(ReadCounters(*log).last_seq, 3u);
@@ -173,13 +180,30 @@ TEST_F(ChangelogTest, AppendRotateScanRoundTrip) {
     EXPECT_EQ(replay.updates[i].edge.v, all[i].edge.v) << i;
   }
 
-  // LoadSnapshot replays the changelog on top of the base payload.
+  // LoadSnapshot replays the changelog on top of the base payload; with no
+  // expected source (unknown) the staleness check is skipped. The replayed
+  // index is bit-identical to a fresh build of the updated graph.
+  const LabeledGraph updated = ApplyPrefix(g, batches, 5);
   auto loaded = LoadSnapshot(path_, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->replayed_updates, 5u);
   EXPECT_EQ(loaded->changelog_segments, 3u);
-  EXPECT_EQ(loaded->changelog_updates, 5u);
-  ExpectSameGraph(*loaded->graph, ApplyPrefix(g, batches, 5));
+  ExpectSameGraph(*loaded->graph, updated);
+  ExpectIndexMatchesFreshBuild(*loaded->index, updated, "after replay");
+
+  // The effective stamp is the LAST record's: the base payload is stale
+  // relative to it, yet the load succeeds and replays. The base stamp and
+  // an earlier record's stamp are both stale.
+  SnapshotLoadOptions stamped;
+  stamped.expected_source = SourceGraphInfo{304, 404};
+  loaded = LoadSnapshot(path_, &error, stamped);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->replayed_updates, 5u);
+  for (const SourceGraphInfo& old : {base_stamp, SourceGraphInfo{303, 403}}) {
+    stamped.expected_source = old;
+    EXPECT_FALSE(LoadSnapshot(path_, &error, stamped));
+    EXPECT_NE(error.find("stale"), std::string::npos) << error;
+  }
 
   // Reopening (clean shutdown) recovers every record and keeps appending
   // where the last handle stopped.
@@ -190,19 +214,21 @@ TEST_F(ChangelogTest, AppendRotateScanRoundTrip) {
   EXPECT_EQ(reopened->status.records, 5u);
   EXPECT_EQ(reopened->status.truncated_bytes, 0u);
   EXPECT_EQ(ReadCounters(*reopened->log).last_seq, 3u);
-  ExpectSameGraph(*reopened->bundle.graph, ApplyPrefix(g, batches, 5));
+  ExpectSameGraph(*reopened->bundle.graph, updated);
+
+  // Re-appending batch 0 deletes an edge the replayed state no longer has.
+  // The scan layer checks integrity only, so it still sees one more record
+  // in the same tail segment...
   ASSERT_TRUE(LockedAppend(*reopened->log, std::span<const EdgeUpdate>(batches[0]), &error))
-      << error;  // re-inserting nothing: batch 0 deletes an already-deleted
-                 // edge is INVALID to replay — undo it instead
-  // Undo the extra append by folding is out of scope here; just verify the
-  // scan now reports one more record in the same tail segment.
+      << error;
   ChangelogReplay again;
-  // The replay chain is no longer prefix-valid (batch 0 deletes a deleted
-  // edge), but the scan layer does not validate against a graph — it only
-  // checks integrity.
   ASSERT_TRUE(ScanChangelog(path_, 0, &again, &error)) << error;
   EXPECT_EQ(again.records, 6u);
   EXPECT_EQ(again.segments, 3u);
+  // ...but LoadSnapshot replays against the stored graph and rejects the
+  // record rather than serving a state that skips it.
+  EXPECT_FALSE(LoadSnapshot(path_, &error));
+  EXPECT_NE(error.find("does not apply"), std::string::npos) << error;
 }
 
 TEST_F(ChangelogTest, TornTailTruncatedAtEveryByteOffset) {

@@ -1,7 +1,6 @@
 #include "eval/serve_engine.h"
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,33 +69,6 @@ TEST(LaneOrderTest, BulkOnlyAndInteractiveOnly) {
   std::vector<Lane> inter(3, Lane::kInteractive);
   EXPECT_EQ(BuildLaneOrder(inter, 2), (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_TRUE(BuildLaneOrder({}, 2).empty());
-}
-
-TEST(BatchRunnerOrderedTest, SingleWorkerExecutesInScheduleOrder) {
-  BatchRunner runner(1);
-  std::vector<std::uint32_t> order = {3, 1, 2, 0, 4};
-  std::vector<std::size_t> executed;
-  std::mutex mu;
-  runner.RunOrdered(order, [&](std::size_t i, QueryWorkspace&) {
-    std::lock_guard<std::mutex> lock(mu);
-    executed.push_back(i);
-  });
-  EXPECT_EQ(executed, (std::vector<std::size_t>{3, 1, 2, 0, 4}));
-}
-
-TEST(BatchRunnerOrderedTest, MultiWorkerCoversEveryIndexOnce) {
-  BatchRunner runner(3);
-  std::vector<std::uint32_t> order(101);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<std::uint32_t>(order.size() - 1 - i);
-  }
-  std::vector<int> hits(order.size(), 0);
-  std::mutex mu;
-  runner.RunOrdered(order, [&](std::size_t i, QueryWorkspace&) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++hits[i];
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
 // --------------------------------------------------------------------------

@@ -316,6 +316,17 @@ TEST_F(SnapshotRejectionTest, TrailingGarbage) {
   ExpectRejected("delta log");
 }
 
+TEST_F(SnapshotRejectionTest, LegacyInFileDeltaLogRejected) {
+  // Older versions appended delta blocks (a 40-byte header led by the magic
+  // "BCCSDLT1") after the payload. They are no longer replayed, and dropping
+  // them silently would serve a state older than the acknowledged one, so
+  // the file is rejected with a reason that names the delta log.
+  std::string block(40, '\0');
+  block.replace(0, 8, "BCCSDLT1");
+  WriteBytes(bytes_ + block);
+  ExpectRejected("delta log");
+}
+
 TEST_F(SnapshotRejectionTest, BadMagic) {
   std::string corrupt = bytes_;
   corrupt[0] = 'X';

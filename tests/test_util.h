@@ -7,6 +7,9 @@
 #include <random>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "bcc/bc_index.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs::testing {
@@ -113,6 +116,34 @@ inline std::vector<std::uint64_t> NaiveButterflies(const LabeledGraph& g,
     }
   }
   return chi;
+}
+
+/// The acceptance check: the repaired index must be bit-identical to a
+/// freshly built index of the updated graph — coreness, per-label maxima,
+/// and every cached pair entry (chi, total, max, argmax on both sides).
+inline void ExpectIndexMatchesFreshBuild(const BcIndex& repaired,
+                                         const LabeledGraph& updated, const char* note) {
+  BcIndex fresh(updated);
+  for (VertexId v = 0; v < updated.NumVertices(); ++v) {
+    ASSERT_EQ(repaired.Coreness(v), fresh.Coreness(v)) << note << " coreness of " << v;
+  }
+  for (Label l = 0; l < updated.NumLabels(); ++l) {
+    EXPECT_EQ(repaired.MaxCoreness(l), fresh.MaxCoreness(l)) << note << " label " << l;
+  }
+  repaired.ForEachCachedPair([&](Label a, Label b, const ButterflyCounts& counts) {
+    const auto want_pin = fresh.PairButterflies(a, b);
+    const ButterflyCounts& want = *want_pin;
+    EXPECT_EQ(counts.total, want.total) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.max_left, want.max_left) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.max_right, want.max_right) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.argmax_left, want.argmax_left) << note << " pair " << a << "," << b;
+    EXPECT_EQ(counts.argmax_right, want.argmax_right) << note << " pair " << a << "," << b;
+    ASSERT_EQ(counts.chi.size(), want.chi.size()) << note;
+    for (VertexId v = 0; v < counts.chi.size(); ++v) {
+      ASSERT_EQ(counts.chi[v], want.chi[v])
+          << note << " chi of " << v << " in pair " << a << "," << b;
+    }
+  });
 }
 
 }  // namespace bccs::testing

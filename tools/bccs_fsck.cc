@@ -1,5 +1,5 @@
 // bccs_fsck: offline format and invariant checker for a persisted snapshot
-// and its rotated changelog.
+// and its rotated changelog (the snapshot's only update log).
 //
 //   bccs_fsck --snapshot g.snap [--sample-pairs N] [--quiet]
 //
@@ -7,7 +7,9 @@
 // data freely. Four sections run in order and the tool reports each:
 //
 //   load       the snapshot payload checksum scan plus the changelog
-//              replay (LoadSnapshot with verify_checksum on)
+//              replay (LoadSnapshot with verify_checksum on); bytes after
+//              the payload — an older version's in-file delta log — fail
+//              here
 //   graph      CSR well-formedness of the replayed graph
 //              (common/validate.h ValidateGraph)
 //   index      BcIndex consistency against the graph — exact coreness
@@ -84,9 +86,9 @@ int main(int argc, char** argv) {
   Reporter report{args.Has("quiet")};
 
   // Section 1: load. verify_checksum walks the whole payload; the load also
-  // replays the delta chain and the changelog segments, so a corrupt sealed
-  // segment or a sequence gap already fails here (reported as the changelog
-  // section, which is what actually broke).
+  // replays the changelog segments, so a corrupt sealed segment or a
+  // sequence gap already fails here (reported as the changelog section,
+  // which is what actually broke).
   bccs::Timer load_timer;
   std::string error;
   bccs::SnapshotLoadOptions load_opts;
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
     return report.Fail("changelog", r.reason, kExitChangelog);
   }
   std::snprintf(detail, sizeof(detail), "%zu live segments, %zu replayed changelog updates",
-                bundle->changelog_segments, bundle->changelog_updates);
+                bundle->changelog_segments, bundle->replayed_updates);
   report.Section("changelog", detail, chain_timer.Seconds());
 
   if (!report.quiet) std::printf("clean: %s\n", snapshot_path->c_str());

@@ -8,11 +8,12 @@
 # across thread counts, bad flag values are rejected, and
 # --no-incremental-butterflies answers bit-identically to the default
 # incremental-counter runs across methods and thread counts), and that the
-# dynamic
-# update flow works: bccs_update appends a delta log that bccs_query
-# replays (build -> update -> query-from-replayed-snapshot ==
-# query-from-updated-text-graph), --updates-file applies a batch in-process,
-# and invalid update batches are rejected. The bccs_serve socket front-end
+# dynamic update flow works: bccs_update appends to the snapshot's
+# changelog, which bccs_query replays (build -> update ->
+# query-from-replayed-snapshot == query-from-updated-text-graph),
+# --updates-file applies a batch in-process, invalid update batches are
+# rejected, and --compact / --compact-threshold fold the changelog into
+# the payload with answers unchanged. The bccs_serve socket front-end
 # (--listen) is driven over a real loopback connection: pipelined
 # query/update/query with request ids answer with per-connection epoch
 # views matching bccs_query on the equivalent graphs, a reconnect resending
@@ -195,16 +196,21 @@ approx_rec="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.tx
 "$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" --threads 1 \
   | grep -q '^phases: .*delta=' || fail "no per-phase breakdown in batch output"
 
-# --- Dynamic graphs: delta log + --updates-file -----------------------------
+# --- Dynamic graphs: changelog + --updates-file -----------------------------
 
-# Delete one existing edge through bccs_update: the delta block is appended
-# to the snapshot (no payload rewrite) and the updated graph written as text.
+# Delete one existing edge through bccs_update: the batch is appended as one
+# record to the rotated changelog next to the snapshot (no payload rewrite)
+# and the updated graph written as text.
 eu="$(awk '$1=="e" {print $2; exit}' "$tmp/g.txt")"
 ev="$(awk '$1=="e" {print $3; exit}' "$tmp/g.txt")"
 [ -n "$eu" ] && [ -n "$ev" ] || fail "could not pick an edge to delete"
 printf -- '- %s %s\n' "$eu" "$ev" > "$tmp/updates.txt"
+snap_bytes="$(wc -c < "$tmp/g.snap")"
 "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/updates.txt" \
   --write-graph "$tmp/g2.txt" >/dev/null || fail "bccs_update failed"
+[ -f "$tmp/g.snap.log.000001" ] || fail "bccs_update wrote no changelog segment"
+[ "$(wc -c < "$tmp/g.snap")" -eq "$snap_bytes" ] \
+  || fail "bccs_update rewrote or appended to the snapshot file"
 
 # build -> update -> query-from-replayed-snapshot: the replayed snapshot
 # must answer exactly like the updated text graph.
@@ -214,8 +220,8 @@ upd_graph="$(run_query --graph "$tmp/g2.txt")"
 [ "$upd_snap" = "$upd_graph" ] \
   || fail "replayed snapshot answers differ: '$upd_snap' vs '$upd_graph'"
 
-# The delta block re-stamped the snapshot with g2.txt's identity, so the
-# combined path accepts it without a rebuild.
+# The changelog record re-stamped the snapshot with g2.txt's identity, so
+# the combined path accepts it without a rebuild.
 "$bin/bccs_query" --graph "$tmp/g2.txt" --index-file "$tmp/g.snap" \
   --ql "$q1" --qr "$q2" --method l2p >/dev/null 2>"$tmp/upd_stamp.err" \
   || fail "query with the re-stamped updated snapshot failed"
@@ -233,8 +239,9 @@ upd_graph_lp="$("$bin/bccs_query" --graph "$tmp/g2.txt" --ql "$q1" --qr "$q2" \
 [ "$upd_flag" = "$upd_graph_lp" ] \
   || fail "--updates-file answers differ: '$upd_flag' vs '$upd_graph_lp'"
 
-# Re-inserting the deleted edge chains a second delta block; the replayed
-# state is back to the original graph and answers match the very first run.
+# Re-inserting the deleted edge chains a second changelog record; the
+# replayed state is back to the original graph and answers match the very
+# first run.
 printf -- '+ %s %s\n' "$eu" "$ev" > "$tmp/updates2.txt"
 "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/updates2.txt" \
   >/dev/null || fail "second bccs_update failed"
@@ -254,20 +261,23 @@ if "$bin/bccs_query" --graph "$tmp/g.txt" --updates-file "$tmp/bad_updates.txt" 
   fail "invalid update batch was accepted by bccs_query"
 fi
 
-# --compact collapses the delta log into a rewritten payload; answers hold.
+# --compact seals the changelog and folds it into a rewritten payload,
+# dropping the folded segments; answers hold.
 "$bin/bccs_update" --snapshot "$tmp/g.snap" --updates "$tmp/updates.txt" \
   --compact >/dev/null || fail "bccs_update --compact failed"
+ls "$tmp"/g.snap.log.* >/dev/null 2>&1 && fail "--compact left changelog segments behind"
 compacted="$(run_query --index-file "$tmp/g.snap")"
 [ "$compacted" = "$upd_graph" ] \
   || fail "compacted snapshot answers differ: '$compacted' vs '$upd_graph'"
 
-# --- Background compaction: --auto-compact ----------------------------------
+# --- Compaction policy: --compact-threshold ---------------------------------
 
-# A fresh snapshot of the updated graph; two appends with --auto-compact 1:
-# the first leaves one block, the second (now over the threshold) folds the
-# log automatically via the same tmp+rename rewrite as --compact.
+# A fresh snapshot of the updated graph; two appends with
+# --compact-threshold 1: the first leaves its record in the unsealed tail
+# (no sealed segment yet, so no fold), the second rotates the tail
+# (--segment-blocks 1), reaching the threshold, and folds it.
 "$bin/bccs_build" --graph "$tmp/g2.txt" --out "$tmp/g3.snap" >/dev/null \
-  || fail "bccs_build for auto-compact failed"
+  || fail "bccs_build for --compact-threshold failed"
 e2u="$(awk '$1=="e" {print $2}' "$tmp/g2.txt" | sed -n 2p)"
 e2v="$(awk '$1=="e" {print $3}' "$tmp/g2.txt" | sed -n 2p)"
 [ -n "$e2u" ] && [ -n "$e2v" ] || fail "could not pick a second edge"
@@ -275,27 +285,26 @@ printf -- '- %s %s\n' "$e2u" "$e2v" > "$tmp/ac1.txt"
 printf -- '+ %s %s\n' "$e2u" "$e2v" > "$tmp/ac2.txt"
 
 if "$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-    --auto-compact 0 >/dev/null 2>&1; then
-  fail "--auto-compact 0 was accepted"
-fi
-if "$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-    --compact --auto-compact 2 >/dev/null 2>&1; then
-  fail "--compact with --auto-compact was accepted"
+    --compact-threshold 0 >/dev/null 2>&1; then
+  fail "--compact-threshold 0 was accepted"
 fi
 
 ac1_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-  --auto-compact 1)" || fail "first --auto-compact update failed"
-echo "$ac1_out" | grep -q "compacted" && fail "auto-compact fired below the threshold"
+  --compact-threshold 1)" || fail "first --compact-threshold update failed"
+echo "$ac1_out" | grep -q "compacted" && fail "fold fired below the threshold"
 ac2_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac2.txt" \
-  --auto-compact 1)" || fail "second --auto-compact update failed"
-echo "$ac2_out" | grep -q "compacted snapshot (auto)" \
-  || fail "auto-compact did not fire above the threshold"
-# The folded snapshot has an empty log chain and serves the delete+insert
+  --segment-blocks 1 --compact-threshold 1)" || fail "second --compact-threshold update failed"
+echo "$ac2_out" | grep -q "compacted: folded segments through 1" \
+  || fail "fold did not fire at the threshold"
+ls "$tmp"/g3.snap.log.* >/dev/null 2>&1 && fail "the fold left changelog segments behind"
+# The folded snapshot has an empty changelog and serves the delete+insert
 # round trip (== g2) correctly.
-ac3_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --updates "$tmp/ac1.txt" \
-  --auto-compact 8)" || fail "post-compaction update failed"
-echo "$ac3_out" | grep -q "0 delta blocks" \
-  || fail "auto-compacted snapshot still reports delta blocks"
+ac3_out="$("$bin/bccs_update" --snapshot "$tmp/g3.snap" --recover-only)" \
+  || fail "post-compaction recovery failed"
+echo "$ac3_out" | grep -q "(0 changelog records)" \
+  || fail "folded snapshot still replays changelog records"
+[ "$(run_query --index-file "$tmp/g3.snap")" = "$(run_query --graph "$tmp/g2.txt")" ] \
+  || fail "folded snapshot answers differ from g2"
 
 # --- Streaming serve loop: bccs_serve ---------------------------------------
 
