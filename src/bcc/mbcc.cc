@@ -30,11 +30,6 @@ struct PairState {
   /// (SearchOptions::incremental_butterflies). Owned by the workspace pool;
   /// null when the flag is off or the pair started inactive.
   PeelButterflyCounter* pc = nullptr;
-  /// Relative variance of this pair's previous sampled estimate, fed back
-  /// into the next round's EffectiveSampleCount when variance_adaptive is
-  /// set. Per-pair state: pairs with noisy estimates re-sample harder
-  /// without inflating the budget of the quiet ones.
-  double last_rel_var = 1.0;
 };
 
 }  // namespace
@@ -412,22 +407,21 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
         {
           ScopedAccumulator t(&stats->butterfly_seconds);
           ApproxButterflyOptions aopts;
-          aopts.samples = EffectiveSampleCount(approx, cand.NumAlive(), ps.last_rel_var);
+          aopts.samples = EffectiveSampleCount(approx, cand.NumAlive());
           aopts.seed = DeriveEstimateSeed(approx.seed, round_idx, pi);
           est = EstimateTotalButterflies(g, groups[ps.i], groups[ps.j], cand.GroupMask(ps.i),
-                                         cand.GroupMask(ps.j), aopts, estimate_scratch,
-                                         &ps.last_rel_var);
+                                         cand.GroupMask(ps.j), aopts, estimate_scratch);
         }
         ++stats->approx_checks;
         used_approx = true;
         next_round_exact = false;
-        if (est < static_cast<double>(p.b)) {
-          ps.active = false;
-        } else {
+        // A failing estimate may be a sampling miss: confirm it exactly
+        // below instead of deactivating the pair on the sample alone.
+        if (est >= static_cast<double>(p.b)) {
           ps.leader_i = LeaderState{};
           ps.leader_j = LeaderState{};
+          continue;
         }
-        continue;
       }
       if (opts.use_leader_pair) ++stats->leader_rebuilds;
       const ButterflyCounts& rc = exact_pair(ps);

@@ -106,18 +106,15 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
       approx.enabled ? ws->AcquireIdVec() : nullptr;
   // Sampled validity check (necessary condition: estimated total >= b; every
   // butterfly gives two vertices per side, so max chi >= b needs total >= b).
-  // `last_rel_var` threads each round's observed relative variance into the
-  // next round's sample count (variance_adaptive); it is a pure function of
-  // the query's own seeded estimates, so determinism is preserved.
-  double last_rel_var = 1.0;
+  // It can only pass a round: a failing estimate may be a sampling miss, so
+  // the round falls through to the exact check instead of ending the peel.
   auto estimate_valid = [&](std::uint32_t round_idx) {
     ScopedAccumulator t(&stats->butterfly_seconds);
     ApproxButterflyOptions aopts;
-    aopts.samples = EffectiveSampleCount(approx, cand.NumAlive(), last_rel_var);
+    aopts.samples = EffectiveSampleCount(approx, cand.NumAlive());
     aopts.seed = DeriveEstimateSeed(approx.seed, round_idx);
     double est = EstimateTotalButterflies(g, g0.left, g0.right, cand.GroupMask(0),
-                                          cand.GroupMask(1), aopts, estimate_scratch,
-                                          &last_rel_var);
+                                          cand.GroupMask(1), aopts, estimate_scratch);
     ++stats->approx_checks;
     used_approx = true;
     next_round_exact = false;
@@ -238,9 +235,10 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     if (!cand.IsAlive(q.ql) || !cand.IsAlive(q.qr)) break;
 
     // Butterfly condition maintenance. With the approx fast path active and
-    // a still-huge candidate, a sampled estimate replaces the full recount;
-    // leaders are left unset so the next round re-enters this path until the
-    // candidate shrinks below the threshold (or the estimate fails).
+    // a still-huge candidate, a passing sampled estimate replaces the full
+    // recount; leaders are left unset so the next round re-enters this path
+    // until the candidate shrinks below the threshold (or an estimate fails
+    // and the exact check takes over).
     const bool approx_this_round =
         approx.enabled && cand.NumAlive() > approx.threshold;
     // Exact per-round counts: the maintained delta-chi while the counter is
@@ -287,8 +285,7 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
                       lead_r.chi >= b;
       if (left_ok && right_ok) {
         next_round_exact = true;  // leader chi is maintained exactly
-      } else if (approx_this_round) {
-        valid = estimate_valid(round_idx);
+      } else if (approx_this_round && estimate_valid(round_idx)) {
         lead_l = LeaderState{};
         lead_r = LeaderState{};
       } else {
@@ -305,9 +302,7 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
                                   rc.max_right, rc.argmax_right, ws);
         }
       }
-    } else if (approx_this_round) {
-      valid = estimate_valid(round_idx);
-    } else {
+    } else if (!(approx_this_round && estimate_valid(round_idx))) {
       const ButterflyCounts& rc = exact_counts();
       next_round_exact = true;
       if (rc.max_left < b || rc.max_right < b) valid = false;

@@ -23,10 +23,8 @@ double EstimateTotalButterflies(const LabeledGraph& g, std::span<const VertexId>
                                 const std::vector<char>& in_left,
                                 const std::vector<char>& in_right,
                                 const ApproxButterflyOptions& opts,
-                                std::vector<VertexId>* alive_scratch,
-                                double* rel_variance) {
+                                std::vector<VertexId>* alive_scratch) {
   (void)right;
-  if (rel_variance != nullptr) *rel_variance = 0.0;
   std::vector<VertexId> local_alive;
   std::vector<VertexId>& alive = alive_scratch != nullptr ? *alive_scratch : local_alive;
   alive.clear();
@@ -40,24 +38,15 @@ double EstimateTotalButterflies(const LabeledGraph& g, std::span<const VertexId>
   std::uniform_int_distribution<std::size_t> pick(0, alive.size() - 1);
 
   double sum = 0;
-  double sum_sq = 0;
   for (std::size_t s = 0; s < opts.samples; ++s) {
     std::size_t i = pick(rng);
     std::size_t j = pick(rng);
     if (j == i) j = (i + 1) % alive.size();
     auto common =
         static_cast<double>(CommonCrossNeighbors(g, alive[i], alive[j], in_right));
-    const double value = Choose2(common);
-    sum += value;
-    sum_sq += value * value;
+    sum += Choose2(common);
   }
-  const auto n = static_cast<double>(opts.samples);
-  if (rel_variance != nullptr && sum > 0) {
-    const double mean = sum / n;
-    const double variance = std::max(0.0, sum_sq / n - mean * mean);
-    *rel_variance = variance / (mean * mean);
-  }
-  return num_pairs * sum / n;
+  return num_pairs * sum / static_cast<double>(opts.samples);
 }
 
 double EstimateVertexButterflies(const LabeledGraph& g, VertexId v,

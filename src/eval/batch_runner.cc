@@ -149,28 +149,4 @@ BatchResult BatchRunner::RunCustomBatch(std::size_t count, const RunTimedFn& que
 // BatchRunner::RunBccBatch / RunL2pBatch / RunMbccBatch are compatibility
 // shims over ServeEngine and live in serve_engine.cc.
 
-std::vector<std::uint32_t> BuildLaneOrder(std::span<const Lane> lanes,
-                                          std::size_t aging_period) {
-  std::vector<std::uint32_t> interactive, bulk;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    (lanes[i] == Lane::kInteractive ? interactive : bulk)
-        .push_back(static_cast<std::uint32_t>(i));
-  }
-  std::vector<std::uint32_t> order;
-  order.reserve(lanes.size());
-  std::size_t ii = 0, bi = 0, since_bulk = 0;
-  while (ii < interactive.size() || bi < bulk.size()) {
-    const bool bulk_left = bi < bulk.size();
-    const bool age_out = aging_period > 0 && since_bulk >= aging_period;
-    if (ii < interactive.size() && (!bulk_left || !age_out)) {
-      order.push_back(interactive[ii++]);
-      ++since_bulk;
-    } else {
-      order.push_back(bulk[bi++]);
-      since_bulk = 0;
-    }
-  }
-  return order;
-}
-
 }  // namespace bccs

@@ -23,7 +23,7 @@
 namespace bccs {
 
 /// Scheduling lane of a serving request. Interactive queries are claimed
-/// ahead of bulk ones (with anti-starvation aging, see BuildLaneOrder).
+/// ahead of bulk ones (with anti-starvation aging, see AdmissionQueue).
 enum class Lane : std::uint8_t { kInteractive = 0, kBulk = 1 };
 
 inline const char* Name(Lane lane) {
@@ -182,17 +182,6 @@ class BatchRunner {
 /// When the wall clock reads zero (sub-tick batches), qps falls back to the
 /// sum of per-query seconds instead of silently reporting 0.
 BatchLatency SummarizeLatency(std::span<const double> seconds, double wall_seconds);
-
-/// Compiles the two-lane policy into a claim order over [0, lanes.size()):
-/// interactive indices first (arrival order preserved within a lane), bulk
-/// after — except that every (aging_period + 1)-th claim slot is given to
-/// the oldest waiting bulk query, so a saturated interactive lane cannot
-/// starve bulk indefinitely. aging_period == 0 disables aging (bulk runs
-/// strictly after interactive). Serving dequeues from an AdmissionQueue
-/// (eval/admission_queue.h); this is the reference policy its single-consumer
-/// dequeue order is tested against.
-std::vector<std::uint32_t> BuildLaneOrder(std::span<const Lane> lanes,
-                                          std::size_t aging_period);
 
 }  // namespace bccs
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/fnv1a64.h"
+#include "tools/engine_flags.h"
 
 namespace bccs {
 
@@ -99,13 +100,8 @@ NetParseStatus ParseNetRequest(std::string_view line, std::size_t num_vertices,
     }
     std::size_t pos = 3;
     if (pos < tokens.size() && tokens[pos].substr(0, 3) != "id=") {
-      const std::string_view lane = tokens[pos];
-      if (lane == "interactive" || lane == "i") {
-        out->lane = Lane::kInteractive;
-      } else if (lane == "bulk" || lane == "b") {
-        out->lane = Lane::kBulk;
-      } else {
-        *error = "unknown lane '" + std::string(lane) + "' (interactive|bulk)";
+      if (!ParseLane(tokens[pos], &out->lane)) {
+        *error = "unknown lane '" + std::string(tokens[pos]) + "' (interactive|bulk)";
         return NetParseStatus::kError;
       }
       ++pos;

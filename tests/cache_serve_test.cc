@@ -430,39 +430,13 @@ TEST(CacheServeTest, ApproxAndDeadlineRequestsNotCached) {
 }
 
 // --------------------------------------------------------------------------
-// Variance-adaptive approx sampling.
+// Approx sampling: determinism across thread counts.
 // --------------------------------------------------------------------------
 
-TEST(VarianceAdaptiveTest, EffectiveSampleCountScalesWithVariance) {
-  ApproxOptions o;
-  o.enabled = true;
-  o.adaptive = true;
-  o.variance_adaptive = true;
-  o.samples = 1024;
-  o.min_samples = 64;
-
-  const std::size_t base = EffectiveSampleCount(o, /*alive=*/1024);
-  // Neutral history reproduces the size-based schedule.
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 1.0), base);
-  // Low variance shrinks (floored), high variance grows (ceilinged).
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 0.0), base / 4);
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 100.0), o.samples);
-  // Never below the floor or above the ceiling.
-  EXPECT_GE(EffectiveSampleCount(o, 16, 0.0), std::min(o.min_samples, o.samples));
-  EXPECT_LE(EffectiveSampleCount(o, 1 << 20, 100.0), o.samples);
-
-  // Without the flag the history is ignored.
-  o.variance_adaptive = false;
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 100.0), base);
-  // Without `adaptive`, fixed budget regardless.
-  o.adaptive = false;
-  o.variance_adaptive = true;
-  EXPECT_EQ(EffectiveSampleCount(o, 1024, 0.0), o.samples);
-}
-
-// The variance feedback is a pure function of the query's own seeded
-// estimates: answers stay bit-identical between 1 worker and many.
-TEST(VarianceAdaptiveTest, DeterministicAcrossThreadCounts) {
+// The size-scaled sample count is a pure function of the query's own
+// candidate sizes: answers stay bit-identical between 1 worker and many, for
+// the two-label search and for mBCC's per-pair estimates.
+TEST(ApproxSamplingTest, DeterministicAcrossThreadCounts) {
   PlantedGraph pg = MakeGraph(6, 91);
   std::vector<BccQuery> queries = SampleQueries(pg, 12);
   ASSERT_FALSE(queries.empty());
@@ -470,10 +444,7 @@ TEST(VarianceAdaptiveTest, DeterministicAcrossThreadCounts) {
   ApproxOptions approx;
   approx.enabled = true;
   approx.samples = 128;
-  approx.min_samples = 16;
   approx.threshold = 32;
-  approx.adaptive = true;
-  approx.variance_adaptive = true;
   approx.seed = 13;
   SearchOptions opts = OnlineBccOptions();
   opts.approx = approx;
@@ -488,7 +459,6 @@ TEST(VarianceAdaptiveTest, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(s.communities[i].vertices, p.communities[i].vertices) << "query " << i;
   }
 
-  // mBCC threads the per-pair variance history the same way.
   std::vector<MbccGroundTruthQuery> mgt = SampleMbccGroundTruthQueries(pg, 3, 6, 17);
   std::vector<MbccQuery> mqueries;
   for (const auto& g : mgt) mqueries.push_back(g.query);

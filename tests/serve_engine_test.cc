@@ -42,36 +42,6 @@ BccViolation VerifyResolved(const LabeledGraph& g, const Community& c, const Bcc
 }
 
 // --------------------------------------------------------------------------
-// Scheduler: lane order compilation and ordered claiming.
-// --------------------------------------------------------------------------
-
-TEST(LaneOrderTest, InteractiveDrainsFirstWithoutAging) {
-  std::vector<Lane> lanes = {Lane::kBulk, Lane::kInteractive, Lane::kBulk,
-                             Lane::kInteractive};
-  EXPECT_EQ(BuildLaneOrder(lanes, 0), (std::vector<std::uint32_t>{1, 3, 0, 2}));
-}
-
-TEST(LaneOrderTest, AgingGivesEveryNthSlotToBulk) {
-  // 6 interactive (0..5), 3 bulk (6..8), one bulk claim after every 2
-  // interactive claims.
-  std::vector<Lane> lanes(9, Lane::kInteractive);
-  lanes[6] = lanes[7] = lanes[8] = Lane::kBulk;
-  EXPECT_EQ(BuildLaneOrder(lanes, 2),
-            (std::vector<std::uint32_t>{0, 1, 6, 2, 3, 7, 4, 5, 8}));
-  // Aging disabled: bulk strictly after interactive.
-  EXPECT_EQ(BuildLaneOrder(lanes, 0),
-            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
-}
-
-TEST(LaneOrderTest, BulkOnlyAndInteractiveOnly) {
-  std::vector<Lane> bulk(4, Lane::kBulk);
-  EXPECT_EQ(BuildLaneOrder(bulk, 2), (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  std::vector<Lane> inter(3, Lane::kInteractive);
-  EXPECT_EQ(BuildLaneOrder(inter, 2), (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_TRUE(BuildLaneOrder({}, 2).empty());
-}
-
-// --------------------------------------------------------------------------
 // ServeEngine: interactive ahead of bulk under a saturated pool.
 // --------------------------------------------------------------------------
 

@@ -4,33 +4,11 @@
 //              [--method online|lp|l2p] [--verify]
 //   bccs_query --graph g.txt --queries 3,17,42 --b 1      (multi-label mBCC)
 //
-// Every query — single, mBCC, or batch — enters through the unified
-// ServeEngine (eval/serve_engine.h): requests carry a method, a priority
-// lane, an optional deadline, and the approximate-counting knob.
-//
-// Serving flags:
-//   --lane interactive|bulk   priority lane (default: interactive for
-//                             single queries, bulk for batches). Interactive
-//                             drains ahead of bulk with anti-starvation
-//                             aging.
-//   --deadline-ms N           per-query deadline; an expired query returns
-//                             its best valid partial answer flagged timed_out.
-//   --approx-samples N        enable the sampled butterfly validity check
-//                             with N sampled pairs per estimate (exact
-//                             re-check on the final answer; answers are
-//                             deterministic in the seed and thread count).
-//   --approx-threshold N      candidate size above which sampling kicks in
-//                             (default 4096).
-//   --approx-adaptive         scale each estimate's sample count with the
-//                             alive candidate size (--approx-samples becomes
-//                             the ceiling); answers stay deterministic in
-//                             the seed and thread count.
-//   --no-incremental-butterflies
-//                             disable the incremental per-round butterfly
-//                             maintenance (PeelButterflyCounter) and recount
-//                             from scratch each round. Answers are
-//                             bit-identical either way; this is a
-//                             benchmarking / escape-hatch switch.
+// The query enters through the unified ServeEngine (eval/serve_engine.h)
+// as one request on one worker. The engine flags (--method, --k1, --k2,
+// --b, --deadline-ms, --approx-samples, --approx-threshold, --cache-bytes,
+// --no-incremental-butterflies) are shared with bccs_serve and documented
+// in tools/engine_flags.h.
 //
 // Index snapshots (see tools/bccs_build and graph/snapshot.h):
 //   bccs_query --index-file g.snap ...
@@ -50,321 +28,90 @@
 //     incrementally repaired (BcIndex::ApplyUpdates), and every query below
 //     observes the post-update epoch.
 //
-// Batch mode (parallel engine with per-thread workspaces):
-//   bccs_query --graph g.txt --batch-file queries.txt [--threads 8]
-//              [--method online|lp|l2p] [--b 1] [--repeat N]
-//     queries.txt: one "ql qr [interactive|bulk]" per line ('#' comments
-//     allowed); the optional lane column overrides --lane; --repeat tiles
-//     the batch N times.
-//   bccs_query --graph g.txt --ql 3 --qr 17 --repeat 1000 [--threads 8]
-//     repeats one query to measure steady-state QPS / latency.
-//   The BcIndex for --method l2p is built (or snapshot-loaded) exactly once,
-//   before the batch starts, so repeats measure query cost only.
+// Batches, repeats and thread counts are bccs_serve's job: pipe
+// "q <ql> <qr>" lines into `bccs_serve --graph g.txt --threads N` (the
+// summary line reports qps).
 //
 // k = 0 means auto (query coreness). Prints the community and search stats.
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bcc/local_search.h"
-#include "bcc/mbcc.h"
-#include "bcc/online_search.h"
+#include "bcc/find_g0.h"
 #include "bcc/verify.h"
 #include "eval/serve_engine.h"
 #include "eval/timer.h"
 #include "graph/graph_io.h"
 #include "graph/snapshot.h"
-#include "tools/arg_parser.h"
+#include "tools/engine_flags.h"
 
 namespace {
-
-std::vector<bccs::VertexId> ParseIdList(const std::string& csv) {
-  std::vector<bccs::VertexId> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    if (comma > start) {
-      out.push_back(static_cast<bccs::VertexId>(std::stoul(csv.substr(start, comma - start))));
-    }
-    start = comma + 1;
-  }
-  return out;
-}
 
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: bccs_query (--graph FILE | --index-file FILE | both)\n"
                "                  (--ql ID --qr ID | --queries ID,ID[,ID...])\n"
-               "                  [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p]\n"
-               "                  [--lane interactive|bulk] [--deadline-ms N]\n"
-               "                  [--approx-samples N] [--approx-threshold N]\n"
-               "                  [--approx-adaptive] [--updates-file FILE] [--verify]\n"
-               "                  [--result-cache N] [--cache-bytes N]\n"
-               "                  [--no-incremental-butterflies]\n"
-               "       bccs_query ... --batch-file FILE [--threads N] [--repeat N]\n"
-               "       bccs_query ... --ql ID --qr ID --repeat N [--threads N]\n");
-}
-
-bool ParseLane(const std::string& s, bccs::Lane* lane) {
-  if (s == "interactive" || s == "i") {
-    *lane = bccs::Lane::kInteractive;
-    return true;
-  }
-  if (s == "bulk" || s == "b") {
-    *lane = bccs::Lane::kBulk;
-    return true;
-  }
-  return false;
-}
-
-struct BatchLine {
-  bccs::BccQuery query;
-  bool has_lane = false;
-  bccs::Lane lane = bccs::Lane::kBulk;
-};
-
-std::vector<BatchLine> ReadBatchFile(const std::string& path, std::size_t num_vertices,
-                                     bool* opened) {
-  std::vector<BatchLine> out;
-  std::ifstream in(path);
-  *opened = in.good();
-  if (!*opened) return out;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::uint64_t ql = 0, qr = 0;
-    if (!(ls >> ql >> qr)) {
-      bool blank = line.find_first_not_of(" \t\r") == std::string::npos;
-      if (!blank) {
-        std::fprintf(stderr, "%s:%zu: expected two vertex ids, skipped\n", path.c_str(),
-                     line_no);
-      }
-      continue;
-    }
-    if (ql >= num_vertices || qr >= num_vertices) {
-      std::fprintf(stderr, "%s:%zu: vertex id out of range (graph has %zu vertices), skipped\n",
-                   path.c_str(), line_no, num_vertices);
-      continue;
-    }
-    BatchLine bl;
-    bl.query = {static_cast<bccs::VertexId>(ql), static_cast<bccs::VertexId>(qr)};
-    std::string lane_token;
-    if (ls >> lane_token) {
-      if (!ParseLane(lane_token, &bl.lane)) {
-        std::fprintf(stderr, "%s:%zu: unknown lane '%s' (interactive|bulk), skipped\n",
-                     path.c_str(), line_no, lane_token.c_str());
-        continue;
-      }
-      bl.has_lane = true;
-    }
-    out.push_back(bl);
-  }
-  return out;
-}
-
-/// Serving knobs shared by every mode, resolved once from the flags.
-struct ServeConfig {
-  bccs::QueryMethod method = bccs::QueryMethod::kLpBcc;
-  bccs::Lane lane = bccs::Lane::kBulk;
-  double deadline_seconds = 0;
-  bccs::ApproxOptions approx;
-  bool incremental_butterflies = true;
-  std::size_t result_cache_entries = 0;
-  std::size_t pair_cache_bytes = 0;
-};
-
-bccs::ServeOptions MakeServeOptions(const ServeConfig& cfg) {
-  bccs::ServeOptions so;
-  so.online.approx = cfg.approx;
-  so.lp.approx = cfg.approx;
-  so.mbcc.approx = cfg.approx;
-  so.l2p.search.approx = cfg.approx;
-  so.online.incremental_butterflies = cfg.incremental_butterflies;
-  so.lp.incremental_butterflies = cfg.incremental_butterflies;
-  so.mbcc.incremental_butterflies = cfg.incremental_butterflies;
-  so.l2p.search.incremental_butterflies = cfg.incremental_butterflies;
-  so.result_cache_entries = cfg.result_cache_entries;
-  so.pair_cache_bytes = cfg.pair_cache_bytes;
-  return so;
-}
-
-/// Per-phase time breakdown of a batch (or single query): where the search
-/// spent its wall time, summed across queries.
-void PrintPhaseBreakdown(const std::vector<bccs::SearchStats>& stats) {
-  bccs::SearchStats sum;
-  for (const auto& s : stats) sum += s;
-  std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs delta=%.4fs "
-              "leader=%.4fs\n",
-              sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
-              sum.butterfly_delta_seconds, sum.leader_update_seconds);
-  std::printf("counting: calls=%zu delta_rounds=%zu delta_fallbacks=%zu "
-              "leader_rebuilds=%zu approx_checks=%zu\n",
-              sum.butterfly_counting_calls, sum.delta_rounds, sum.delta_fallbacks,
-              sum.leader_rebuilds, sum.approx_checks);
-}
-
-void PrintLaneSummaries(const bccs::BatchResult& result) {
-  for (const bccs::LaneSummary& lane : result.lanes) {
-    std::printf("lane %-11s %zu queries  sojourn p50=%.6fs p90=%.6fs p99=%.6fs\n",
-                bccs::Name(lane.lane), lane.queries, lane.latency.p50_seconds,
-                lane.latency.p90_seconds, lane.latency.p99_seconds);
-  }
-}
-
-/// `index` must already be built/loaded for method "l2p" (never inside the
-/// timed batch), so repeated batches measure query cost only.
-int RunBatch(const bccs::LabeledGraph& graph, const bccs::BcIndex* index,
-             const std::vector<BatchLine>& lines, const bccs::BccParams& params,
-             const ServeConfig& cfg, std::size_t threads) {
-  std::vector<bccs::QueryRequest> requests(lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    requests[i].query = lines[i].query;
-    requests[i].method = cfg.method;
-    requests[i].lane = lines[i].has_lane ? lines[i].lane : cfg.lane;
-    requests[i].deadline_seconds = cfg.deadline_seconds;
-    requests[i].params = params;
-  }
-  bccs::BatchRunner runner(threads);
-  bccs::ServeEngine engine(runner, graph, index, MakeServeOptions(cfg));
-  bccs::BatchResult result = engine.Serve(requests);
-
-  std::size_t non_empty = 0;
-  for (const auto& c : result.communities) non_empty += c.Empty() ? 0 : 1;
-  std::printf("batch: %zu queries, %zu threads, %zu non-empty, %zu timed out\n",
-              requests.size(), result.threads_used, non_empty, result.timed_out);
-  std::printf("wall=%.4fs qps=%.1f avg=%.6fs p50=%.6fs p90=%.6fs p99=%.6fs\n",
-              result.latency.wall_seconds, result.latency.qps, result.latency.avg_seconds,
-              result.latency.p50_seconds, result.latency.p90_seconds,
-              result.latency.p99_seconds);
-  PrintLaneSummaries(result);
-  PrintPhaseBreakdown(result.stats);
-  std::printf("workspace: bulk_inits=%llu buffer_acquires=%llu\n",
-              static_cast<unsigned long long>(result.workspace_stats.bulk_inits),
-              static_cast<unsigned long long>(result.workspace_stats.buffer_acquires));
-  for (std::size_t i = 0; i < requests.size() && i < 10; ++i) {
-    std::printf("  [%zu] (%u, %u) -> %zu members\n", i, lines[i].query.ql, lines[i].query.qr,
-                result.communities[i].Size());
-  }
-  if (requests.size() > 10) std::printf("  ... (%zu more)\n", requests.size() - 10);
-  return 0;
-}
-
-/// Single-request serve (the --ql/--qr and --queries paths): one request,
-/// one worker — still the ServeEngine dispatch path.
-bccs::BatchResult ServeOne(const bccs::LabeledGraph& graph, const bccs::BcIndex* index,
-                           bccs::QueryRequest request, const ServeConfig& cfg) {
-  bccs::BatchRunner runner(1);
-  bccs::ServeEngine engine(runner, graph, index, MakeServeOptions(cfg));
-  std::vector<bccs::QueryRequest> requests{std::move(request)};
-  return engine.Serve(requests);
+               "                  [--updates-file FILE] [--verify]\n%s",
+               bccs::kEngineFlagsUsage);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bccs::ArgParser args = bccs::ArgParser::Parse(argc, argv);
-  auto unknown = args.UnknownFlags({"graph", "index-file", "ql", "qr", "queries", "k1", "k2",
-                                    "b", "method", "verify", "help", "batch-file", "threads",
-                                    "repeat", "lane", "deadline-ms", "approx-samples",
-                                    "approx-threshold", "approx-adaptive", "updates-file",
-                                    "result-cache", "cache-bytes",
-                                    "no-incremental-butterflies"});
+  auto unknown = args.UnknownFlags(bccs::WithEngineFlags(
+      {"graph", "index-file", "ql", "qr", "queries", "verify", "updates-file", "help"}));
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
     return args.Has("help") ? 0 : 2;
   }
 
-  // Validate the serving flags before any graph is loaded.
-  const std::string method_name = args.GetStringOr("method", "lp");
-  ServeConfig cfg;
-  if (method_name == "online") {
-    cfg.method = bccs::QueryMethod::kOnlineBcc;
-  } else if (method_name == "lp") {
-    cfg.method = bccs::QueryMethod::kLpBcc;
-  } else if (method_name == "l2p") {
-    cfg.method = bccs::QueryMethod::kL2pBcc;
-  } else {
-    std::fprintf(stderr, "unknown method '%s' (valid methods: online, lp, l2p)\n",
-                 method_name.c_str());
+  // Validate every flag and query id before any graph is loaded.
+  bccs::EngineFlags flags;
+  std::string flag_error;
+  if (!bccs::ParseEngineFlags(args, &flags, &flag_error)) {
+    std::fprintf(stderr, "%s\n", flag_error.c_str());
     PrintUsage();
     return 2;
   }
-  const bool batch_mode = args.Has("batch-file") || args.Has("repeat");
-  cfg.lane = batch_mode ? bccs::Lane::kBulk : bccs::Lane::kInteractive;
-  if (args.Has("lane") && !ParseLane(args.GetStringOr("lane", ""), &cfg.lane)) {
-    std::fprintf(stderr, "invalid --lane '%s' (valid lanes: interactive, bulk)\n",
-                 args.GetStringOr("lane", "").c_str());
-    return 2;
-  }
-  bool flags_valid = true;
-  const std::int64_t deadline_ms = args.GetPositiveIntOr("deadline-ms", 0, &flags_valid);
-  const std::int64_t approx_samples = args.GetPositiveIntOr("approx-samples", 0, &flags_valid);
-  const std::int64_t approx_threshold =
-      args.GetPositiveIntOr("approx-threshold", 4096, &flags_valid);
-  if (!flags_valid) {
-    std::fprintf(stderr,
-                 "--deadline-ms, --approx-samples and --approx-threshold must be "
-                 "positive integers\n");
-    return 2;
-  }
-  // The count/parameter flags share one strict numeric contract: a value
-  // that is not a clean integer in range is an invocation error, never a
-  // silent fallback.
-  bool counts_valid = true;
-  const std::int64_t threads_raw = args.GetNonNegativeIntOr("threads", 0, &counts_valid);
-  const std::int64_t k1_arg = args.GetNonNegativeIntOr("k1", 0, &counts_valid);
-  const std::int64_t k2_arg = args.GetNonNegativeIntOr("k2", 0, &counts_valid);
-  const std::int64_t b_arg = args.GetPositiveIntOr("b", 1, &counts_valid);
-  const std::int64_t result_cache =
-      args.GetNonNegativeIntOr("result-cache", 0, &counts_valid);
-  const std::int64_t cache_bytes = args.GetNonNegativeIntOr("cache-bytes", 0, &counts_valid);
-  if (!counts_valid) {
-    std::fprintf(stderr,
-                 "--threads, --k1, --k2, --result-cache and --cache-bytes must be "
-                 "integers >= 0; --b must be an integer > 0\n");
-    PrintUsage();
-    return 2;
-  }
-  cfg.result_cache_entries = static_cast<std::size_t>(result_cache);
-  cfg.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
-  bool threads_clamped = false;
-  const std::size_t threads = bccs::ArgParser::ClampThreadCount(threads_raw, &threads_clamped);
-  if (threads_clamped) {
-    std::fprintf(stderr, "note: --threads %lld clamped to hardware concurrency (%zu)\n",
-                 static_cast<long long>(threads_raw), threads);
-  }
-  cfg.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
-  if (approx_samples > 0) {
-    cfg.approx.enabled = true;
-    cfg.approx.samples = static_cast<std::size_t>(approx_samples);
-    cfg.approx.threshold = static_cast<std::size_t>(approx_threshold);
-    cfg.approx.adaptive = args.Has("approx-adaptive");
-  } else if (args.Has("approx-threshold") || args.Has("approx-adaptive")) {
-    std::fprintf(stderr,
-                 "warning: --approx-threshold/--approx-adaptive have no effect without "
-                 "--approx-samples; approximate counting stays disabled\n");
-  }
-  cfg.incremental_butterflies = !args.Has("no-incremental-butterflies");
-
   auto graph_path = args.GetString("graph");
   auto index_path = args.GetString("index-file");
   if (!graph_path && !index_path) {
     PrintUsage();
     return 2;
   }
+  const bool mbcc = args.Has("queries");
+  std::vector<bccs::VertexId> queries;
+  if (mbcc) {
+    if (!bccs::ParseVertexIdList(args.GetStringOr("queries", ""), &queries, &flag_error)) {
+      std::fprintf(stderr, "--queries: %s\n", flag_error.c_str());
+      return 2;
+    }
+    if (queries.size() < 2) {
+      std::fprintf(stderr, "--queries needs at least two ids\n");
+      return 2;
+    }
+  } else {
+    auto ql = args.GetString("ql");
+    auto qr = args.GetString("qr");
+    if (!ql || !qr) {
+      PrintUsage();
+      return 2;
+    }
+    queries.resize(2);
+    if (!bccs::ParseVertexId(*ql, &queries[0]) || !bccs::ParseVertexId(*qr, &queries[1])) {
+      std::fprintf(stderr, "--ql and --qr must be vertex ids (integers in [0, %u]), got "
+                   "'%s' and '%s'\n",
+                   bccs::kInvalidVertex - 1, ql->c_str(), qr->c_str());
+      return 2;
+    }
+  }
 
   // Resolve the graph (and, when snapshots are involved, the index) exactly
-  // once, before any query or repeat loop runs.
+  // once, before the query runs.
   std::shared_ptr<const bccs::LabeledGraph> graph;
   bccs::SnapshotBundle bundle;
   if (index_path) {
@@ -396,7 +143,7 @@ int main(int argc, char** argv) {
                      io_error.c_str());
         return 1;
       }
-      if (cfg.method == bccs::QueryMethod::kL2pBcc) {
+      if (flags.method == bccs::QueryMethod::kL2pBcc) {
         // The load above already failed; build and save without re-reading
         // the snapshot file.
         std::fprintf(stderr, "note: snapshot %s: %s; rebuilding\n", index_path->c_str(),
@@ -436,8 +183,7 @@ int main(int argc, char** argv) {
               graph->NumEdges(), graph->NumLabels());
 
   // --updates-file: one UpdateRequest through the serving engine's update
-  // path before any query runs, so everything below — single queries,
-  // batches, repeats — observes the post-update epoch.
+  // path before the query runs, so the query observes the post-update epoch.
   std::shared_ptr<const bccs::BcIndex> updated_index;
   if (auto updates_path = args.GetString("updates-file")) {
     std::string up_error;
@@ -469,117 +215,37 @@ int main(int argc, char** argv) {
                 graph->NumEdges(), static_cast<unsigned long long>(outcome.epoch));
   }
 
-  const auto b = static_cast<std::uint64_t>(b_arg);
-
-  // The l2p index is shared by every mode below; build it now (once) if the
-  // snapshot machinery (or the update replay) did not already provide one.
+  for (bccs::VertexId v : queries) {
+    if (v >= graph->NumVertices()) {
+      std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
+                   graph->NumVertices());
+      return 2;
+    }
+  }
+  // Build the l2p index now if the snapshot machinery (or the update replay)
+  // did not already provide one.
   std::unique_ptr<bccs::BcIndex> local_index;
   const bccs::BcIndex* index =
       updated_index != nullptr ? updated_index.get() : bundle.index.get();
-  if (cfg.method == bccs::QueryMethod::kL2pBcc && index == nullptr) {
+  if (flags.method == bccs::QueryMethod::kL2pBcc && index == nullptr) {
     local_index = std::make_unique<bccs::BcIndex>(*graph);
     index = local_index.get();
   }
 
-  // Batch modes run through the parallel engine and return early.
-  const std::int64_t repeat_arg = args.GetIntOr("repeat", 0);
-  if (args.Has("repeat") && repeat_arg <= 0) {
-    std::fprintf(stderr, "--repeat must be an integer > 0\n");
-    return 2;
-  }
-  const auto repeat = args.Has("repeat") ? static_cast<std::size_t>(repeat_arg) : 1;
-  bccs::BccParams batch_params{static_cast<std::uint32_t>(k1_arg),
-                               static_cast<std::uint32_t>(k2_arg), b};
-  if (batch_mode && args.Has("verify")) {
-    std::fprintf(stderr, "warning: --verify is not supported in batch mode and is ignored\n");
-  }
-  if (args.Has("batch-file")) {
-    const std::string batch_path = args.GetStringOr("batch-file", "");
-    bool opened = false;
-    auto batch = ReadBatchFile(batch_path, graph->NumVertices(), &opened);
-    if (!opened) {
-      std::fprintf(stderr, "cannot read batch file %s\n", batch_path.c_str());
-      return 2;
-    }
-    if (batch.empty()) {
-      std::fprintf(stderr, "no queries in batch file\n");
-      return 2;
-    }
-    if (repeat > 1) {  // tile the batch; the index above is NOT rebuilt per repeat
-      const std::size_t base = batch.size();
-      batch.reserve(base * repeat);
-      for (std::size_t r = 1; r < repeat; ++r) {
-        for (std::size_t i = 0; i < base; ++i) batch.push_back(batch[i]);
-      }
-    }
-    return RunBatch(*graph, index, batch, batch_params, cfg, threads);
-  }
-  if (args.Has("repeat")) {
-    auto ql = args.GetInt("ql");
-    auto qr = args.GetInt("qr");
-    if (!ql || !qr) {
-      PrintUsage();
-      return 2;
-    }
-    if (*ql < 0 || *qr < 0 ||
-        static_cast<std::uint64_t>(*ql) >= graph->NumVertices() ||
-        static_cast<std::uint64_t>(*qr) >= graph->NumVertices()) {
-      std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
-                   graph->NumVertices());
-      return 2;
-    }
-    BatchLine bl;
-    bl.query = {static_cast<bccs::VertexId>(*ql), static_cast<bccs::VertexId>(*qr)};
-    std::vector<BatchLine> batch(repeat, bl);
-    return RunBatch(*graph, index, batch, batch_params, cfg, threads);
-  }
-
-  bccs::BatchResult result;
-  std::vector<bccs::VertexId> queries;
-
-  if (args.Has("queries")) {
-    queries = ParseIdList(args.GetStringOr("queries", ""));
-    if (queries.size() < 2) {
-      std::fprintf(stderr, "--queries needs at least two ids\n");
-      return 2;
-    }
-    for (bccs::VertexId v : queries) {
-      if (v >= graph->NumVertices()) {
-        std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
-                     graph->NumVertices());
-        return 2;
-      }
-    }
-    bccs::QueryRequest request;
+  bccs::QueryRequest request = flags.Prototype();
+  if (mbcc) {
     request.query = bccs::MbccQuery{queries};
     request.method = bccs::QueryMethod::kMbcc;
-    request.lane = cfg.lane;
-    request.deadline_seconds = cfg.deadline_seconds;
-    request.mbcc_params.b = b;
-    result = ServeOne(*graph, index, std::move(request), cfg);
+    request.mbcc_params.b = flags.params.b;
   } else {
-    auto ql = args.GetInt("ql");
-    auto qr = args.GetInt("qr");
-    if (!ql || !qr) {
-      PrintUsage();
-      return 2;
-    }
-    bccs::BccQuery q{static_cast<bccs::VertexId>(*ql), static_cast<bccs::VertexId>(*qr)};
-    if (q.ql >= graph->NumVertices() || q.qr >= graph->NumVertices()) {
-      std::fprintf(stderr, "query ids out of range (graph has %zu vertices)\n",
-                   graph->NumVertices());
-      return 2;
-    }
-    queries = {q.ql, q.qr};
-    bccs::QueryRequest request;
-    request.query = q;
-    request.method = cfg.method;
-    request.lane = cfg.lane;
-    request.deadline_seconds = cfg.deadline_seconds;
-    request.params = {static_cast<std::uint32_t>(k1_arg),
-                      static_cast<std::uint32_t>(k2_arg), b};
-    result = ServeOne(*graph, index, std::move(request), cfg);
+    request.query = bccs::BccQuery{queries[0], queries[1]};
   }
+  bccs::ServeOptions so;
+  flags.ApplyTo(&so);
+  bccs::BatchRunner runner(1);
+  bccs::ServeEngine engine(runner, *graph, index, so);
+  const std::vector<bccs::QueryRequest> requests{std::move(request)};
+  const bccs::BatchResult result = engine.Serve(requests);
 
   const bccs::Community& community = result.communities[0];
   const bccs::SearchStats& stats = result.stats[0];
@@ -595,20 +261,17 @@ int main(int argc, char** argv) {
   std::printf("\nrounds=%zu butterfly_counting_calls=%zu approx_checks=%zu time=%.6fs\n",
               stats.rounds, stats.butterfly_counting_calls, stats.approx_checks,
               stats.total_seconds);
-  PrintPhaseBreakdown(result.stats);
+  bccs::PrintPhases(result.stats);
 
   if (args.Has("verify") && queries.size() == 2) {
-    bccs::BccParams p{static_cast<std::uint32_t>(k1_arg),
-                      static_cast<std::uint32_t>(k2_arg), b};
+    const bccs::BccQuery q{queries[0], queries[1]};
+    bccs::BccParams p = flags.params;
     // Resolve auto parameters the way the search did.
     bccs::SearchStats tmp;
-    bccs::G0Result g0 =
-        bccs::FindG0(*graph, bccs::BccQuery{queries[0], queries[1]}, p, &tmp);
+    bccs::G0Result g0 = bccs::FindG0(*graph, q, p, &tmp);
     p.k1 = g0.k1;
     p.k2 = g0.k2;
-    auto verdict =
-        bccs::VerifyBcc(*graph, community, bccs::BccQuery{queries[0], queries[1]}, p);
-    std::printf("verification: %s\n", bccs::ToString(verdict));
+    std::printf("verification: %s\n", bccs::ToString(bccs::VerifyBcc(*graph, community, q, p)));
   }
   return 0;
 }

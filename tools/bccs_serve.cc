@@ -6,11 +6,12 @@
 //              [--listen PORT]          TCP server mode (0 = ephemeral port)
 //              [--max-connections N]    connection cap in --listen mode
 //              [--threads N] [--bulk-cap K] [--interactive-cap K]
-//              [--aging N] [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]
-//              [--deadline-ms N] [--approx-samples N] [--approx-threshold N]
-//              [--approx-adaptive] [--quiet]
+//              [--aging N] [--result-cache N] [--quiet]
 //              [--fsync none|on-rotation|every-append] [--segment-blocks N]
 //              [--compact-threshold N]
+//              [engine flags: --method, --k1, --k2, --b, --deadline-ms,
+//               --approx-samples, --approx-threshold, --cache-bytes,
+//               --no-incremental-butterflies; see tools/engine_flags.h]
 //
 // This is the ServeEngine streaming loop end to end: each line is parsed
 // and admitted into the engine's AdmissionQueue while the worker pool is
@@ -21,11 +22,14 @@
 // contract 3). --bulk-cap K keeps at most K bulk queries in flight so
 // interactive tail latency stays bounded under a saturating bulk backlog.
 //
+// This is the only way to run batches: a query file or a repeated query is a
+// stream of 'q' lines (`yes 'q 3 17' | head -1000 | bccs_serve ...`), and
+// the "served" summary line reports the query throughput (qps=).
+//
 // Reporting is batch-style: per-item results are printed in admission
 // order after the stream ends (EOF) and the pool drains, and memory is
-// proportional to the stream length — so feed this tool finite streams. A
-// socket front-end replying per item as it completes is the intended next
-// layer on Stream::Submit (see ROADMAP.md), not this CLI.
+// proportional to the stream length — so feed this tool finite streams;
+// --listen replies per item as it completes.
 //
 // Stream format, one item per line ('#' comments and blank lines allowed):
 //   q <ql> <qr> [interactive|bulk]   two-label query (lane default: bulk)
@@ -81,7 +85,7 @@
 #include "graph/graph_io.h"
 #include "graph/snapshot.h"
 #include "net/server.h"
-#include "tools/arg_parser.h"
+#include "tools/engine_flags.h"
 
 namespace {
 
@@ -89,15 +93,12 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: bccs_serve (--graph FILE | --index-file FILE | both)\n"
                "                  [--stream FILE|-] [--threads N] [--bulk-cap K]\n"
-               "                  [--interactive-cap K] [--aging N]\n"
-               "                  [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]\n"
-               "                  [--deadline-ms N] [--approx-samples N]\n"
-               "                  [--approx-threshold N] [--approx-adaptive] [--quiet]\n"
-               "                  [--no-incremental-butterflies]\n"
+               "                  [--interactive-cap K] [--aging N] [--quiet]\n"
                "                  [--fsync none|on-rotation|every-append]\n"
                "                  [--segment-blocks N] [--compact-threshold N]\n"
-               "                  [--result-cache N] [--cache-bytes N]\n"
-               "                  [--listen PORT] [--max-connections N]\n");
+               "                  [--result-cache N] [--listen PORT] [--max-connections N]\n"
+               "%s",
+               bccs::kEngineFlagsUsage);
 }
 
 volatile std::sig_atomic_t g_stop_signal = 0;
@@ -127,18 +128,6 @@ void InstallStopHandlers() {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 #endif
-}
-
-bool ParseLane(const std::string& s, bccs::Lane* lane) {
-  if (s == "interactive" || s == "i") {
-    *lane = bccs::Lane::kInteractive;
-    return true;
-  }
-  if (s == "bulk" || s == "b") {
-    *lane = bccs::Lane::kBulk;
-    return true;
-  }
-  return false;
 }
 
 struct StreamLine {
@@ -171,7 +160,7 @@ LineStatus ParseStreamLine(std::string line, std::size_t line_no, std::size_t nu
     req.query = bccs::BccQuery{static_cast<bccs::VertexId>(ql),
                                static_cast<bccs::VertexId>(qr)};
     std::string lane_token;
-    if (ls >> lane_token && !ParseLane(lane_token, &req.lane)) {
+    if (ls >> lane_token && !bccs::ParseLane(lane_token, &req.lane)) {
       std::fprintf(stderr, "stream:%zu: unknown lane '%s' (interactive|bulk)\n", line_no,
                    lane_token.c_str());
       return LineStatus::kError;
@@ -207,41 +196,35 @@ LineStatus ParseStreamLine(std::string line, std::size_t line_no, std::size_t nu
 
 int main(int argc, char** argv) {
   bccs::ArgParser args = bccs::ArgParser::Parse(argc, argv);
-  auto unknown = args.UnknownFlags({"graph", "index-file", "stream", "threads", "bulk-cap",
-                                    "interactive-cap", "aging", "method", "k1", "k2", "b",
-                                    "deadline-ms", "approx-samples", "approx-threshold",
-                                    "approx-adaptive", "quiet", "fsync", "segment-blocks",
-                                    "compact-threshold", "result-cache", "cache-bytes",
-                                    "listen", "max-connections", "help",
-                                    "no-incremental-butterflies"});
+  auto unknown = args.UnknownFlags(bccs::WithEngineFlags(
+      {"graph", "index-file", "stream", "threads", "bulk-cap", "interactive-cap", "aging",
+       "quiet", "fsync", "segment-blocks", "compact-threshold", "result-cache", "listen",
+       "max-connections", "help"}));
   if (!unknown.empty() || args.Has("help")) {
     for (const auto& u : unknown) std::fprintf(stderr, "unknown flag: --%s\n", u.c_str());
     PrintUsage();
     return args.Has("help") ? 0 : 2;
   }
 
-  // Strict numeric-flag validation, shared contract with bccs_query.
+  bccs::EngineFlags flags;
+  std::string flag_error;
+  if (!bccs::ParseEngineFlags(args, &flags, &flag_error)) {
+    std::fprintf(stderr, "%s\n", flag_error.c_str());
+    PrintUsage();
+    return 2;
+  }
   bool counts_valid = true;
   const std::int64_t threads_raw = args.GetNonNegativeIntOr("threads", 0, &counts_valid);
   const std::int64_t bulk_cap = args.GetNonNegativeIntOr("bulk-cap", 0, &counts_valid);
   const std::int64_t interactive_cap =
       args.GetNonNegativeIntOr("interactive-cap", 0, &counts_valid);
   const std::int64_t aging = args.GetNonNegativeIntOr("aging", 8, &counts_valid);
-  const std::int64_t k1 = args.GetNonNegativeIntOr("k1", 0, &counts_valid);
-  const std::int64_t k2 = args.GetNonNegativeIntOr("k2", 0, &counts_valid);
-  const std::int64_t b = args.GetPositiveIntOr("b", 1, &counts_valid);
-  const std::int64_t deadline_ms = args.GetPositiveIntOr("deadline-ms", 0, &counts_valid);
-  const std::int64_t approx_samples =
-      args.GetPositiveIntOr("approx-samples", 0, &counts_valid);
-  const std::int64_t approx_threshold =
-      args.GetPositiveIntOr("approx-threshold", 4096, &counts_valid);
   const std::int64_t segment_blocks =
       args.GetPositiveIntOr("segment-blocks", 0, &counts_valid);
   const std::int64_t compact_threshold =
       args.GetPositiveIntOr("compact-threshold", 0, &counts_valid);
   const std::int64_t result_cache =
       args.GetNonNegativeIntOr("result-cache", 0, &counts_valid);
-  const std::int64_t cache_bytes = args.GetNonNegativeIntOr("cache-bytes", 0, &counts_valid);
   const bool listen_mode = args.Has("listen");
   const std::int64_t listen_port = args.GetNonNegativeIntOr("listen", 0, &counts_valid);
   const std::int64_t max_connections =
@@ -278,20 +261,6 @@ int main(int argc, char** argv) {
   if (threads_clamped) {
     std::fprintf(stderr, "note: --threads %lld clamped to hardware concurrency (%zu)\n",
                  static_cast<long long>(threads_raw), threads);
-  }
-
-  const std::string method_name = args.GetStringOr("method", "lp");
-  bccs::QueryMethod method;
-  if (method_name == "online") {
-    method = bccs::QueryMethod::kOnlineBcc;
-  } else if (method_name == "lp") {
-    method = bccs::QueryMethod::kLpBcc;
-  } else if (method_name == "l2p") {
-    method = bccs::QueryMethod::kL2pBcc;
-  } else {
-    std::fprintf(stderr, "unknown method '%s' (valid methods: online, lp, l2p)\n",
-                 method_name.c_str());
-    return 2;
   }
 
   auto graph_path = args.GetString("graph");
@@ -354,41 +323,20 @@ int main(int argc, char** argv) {
     }
     graph = std::make_shared<const bccs::LabeledGraph>(std::move(*g));
   }
-  if (method == bccs::QueryMethod::kL2pBcc && index == nullptr) {
+  if (flags.method == bccs::QueryMethod::kL2pBcc && index == nullptr) {
     auto built = std::make_shared<bccs::BcIndex>(*graph);
     index = built;
   }
 
   // The per-item prototype every 'q' line starts from.
-  bccs::QueryRequest proto;
-  proto.method = method;
-  proto.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
-  proto.params = {static_cast<std::uint32_t>(k1), static_cast<std::uint32_t>(k2),
-                  static_cast<std::uint64_t>(b)};
+  const bccs::QueryRequest proto = flags.Prototype();
 
   bccs::ServeOptions so;
+  flags.ApplyTo(&so);
   so.aging_period = static_cast<std::size_t>(aging);
   so.caps.bulk = static_cast<std::size_t>(bulk_cap);
   so.caps.interactive = static_cast<std::size_t>(interactive_cap);
   so.result_cache_entries = static_cast<std::size_t>(result_cache);
-  so.pair_cache_bytes = static_cast<std::size_t>(cache_bytes);
-  if (approx_samples > 0) {
-    bccs::ApproxOptions approx;
-    approx.enabled = true;
-    approx.samples = static_cast<std::size_t>(approx_samples);
-    approx.threshold = static_cast<std::size_t>(approx_threshold);
-    approx.adaptive = args.Has("approx-adaptive");
-    so.online.approx = approx;
-    so.lp.approx = approx;
-    so.mbcc.approx = approx;
-    so.l2p.search.approx = approx;
-  }
-  if (args.Has("no-incremental-butterflies")) {
-    so.online.incremental_butterflies = false;
-    so.lp.incremental_butterflies = false;
-    so.mbcc.incremental_butterflies = false;
-    so.l2p.search.incremental_butterflies = false;
-  }
 
   const std::string stream_arg = args.GetStringOr("stream", "-");
   std::ifstream stream_file;
@@ -547,10 +495,10 @@ int main(int argc, char** argv) {
   std::size_t applied = 0;
   for (const auto& u : result.updates) applied += u.applied ? 1 : 0;
   std::printf("served %zu items (%zu updates, %zu applied) on %zu workers in %.4fs; "
-              "final epoch %llu; %zu timed out\n",
+              "final epoch %llu; %zu timed out; qps=%.1f\n",
               served_count, result.updates.size(), applied, result.threads_used,
               result.latency.wall_seconds, static_cast<unsigned long long>(engine.epoch()),
-              result.timed_out);
+              result.timed_out, result.latency.qps);
   for (const bccs::LaneSummary& lane : result.lanes) {
     std::printf("lane %-11s %zu queries  max_inflight=%zu  sojourn p50=%.6fs p90=%.6fs "
                 "p99=%.6fs\n",
@@ -558,16 +506,8 @@ int main(int argc, char** argv) {
                 lane.latency.p50_seconds, lane.latency.p90_seconds,
                 lane.latency.p99_seconds);
   }
-  {
-    bccs::SearchStats sum;
-    for (const auto& s : result.stats) sum += s;
-    std::printf("phases: find_g0=%.4fs query_distance=%.4fs butterfly=%.4fs delta=%.4fs "
-                "leader=%.4fs  (counting calls=%zu delta_rounds=%zu delta_fallbacks=%zu)\n",
-                sum.find_g0_seconds, sum.query_distance_seconds, sum.butterfly_seconds,
-                sum.butterfly_delta_seconds, sum.leader_update_seconds,
-                sum.butterfly_counting_calls, sum.delta_rounds, sum.delta_fallbacks);
-  }
-  if (result.result_cache_enabled || cache_bytes > 0) {
+  bccs::PrintPhases(result.stats);
+  if (result.result_cache_enabled || flags.pair_cache_bytes > 0) {
     const bccs::ResultCacheStats& rc = result.result_cache;
     const bccs::BlockCacheStats& pc = result.pair_cache;
     const std::uint64_t rc_total = rc.hits + rc.misses;

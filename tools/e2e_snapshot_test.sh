@@ -1,24 +1,26 @@
 #!/usr/bin/env bash
 # End-to-end ctest: generate a tiny graph, persist a BcIndex snapshot with
 # bccs_build, and check that bccs_query serves identical answers from the
-# text graph and from the snapshot (single-query and batch paths), that a
-# corrupted snapshot is rejected, that the serving-engine flags
-# (--lane, --deadline-ms, --approx-samples) validate and behave (mixed-lane
-# batches report per-lane percentiles, approx batches are deterministic
-# across thread counts, bad flag values are rejected, and
+# text graph and from the snapshot, and that bccs_serve --stream (the only
+# batch front-end) does too; that a corrupted snapshot is rejected; that the
+# engine flags both tools share (tools/engine_flags.h) validate strictly in
+# both (bad values and ids or k's that do not fit 32 bits exit 2 with a
+# reason) and behave (mixed-lane streams report per-lane percentiles and
+# qps, approx streams are deterministic across thread counts, and
 # --no-incremental-butterflies answers bit-identically to the default
-# incremental-counter runs across methods and thread counts), and that the
-# dynamic update flow works: bccs_update appends to the snapshot's
-# changelog, which bccs_query replays (build -> update ->
-# query-from-replayed-snapshot == query-from-updated-text-graph),
-# --updates-file applies a batch in-process, invalid update batches are
-# rejected, and --compact / --compact-threshold fold the changelog into
-# the payload with answers unchanged. The bccs_serve socket front-end
-# (--listen) is driven over a real loopback connection: pipelined
-# query/update/query with request ids answer with per-connection epoch
-# views matching bccs_query on the equivalent graphs, a reconnect resending
-# an applied update id gets the kept ack replayed instead of re-applying,
-# and SIGTERM drains admitted items, flushes response tails, and exits 0.
+# incremental-counter runs across methods and thread counts); that
+# bccs_query's removed batch flags are unknown; and that the dynamic update
+# flow works: bccs_update appends to the snapshot's changelog, which
+# bccs_query replays (build -> update -> query-from-replayed-snapshot ==
+# query-from-updated-text-graph), --updates-file applies a batch
+# in-process, invalid update batches are rejected, and --compact /
+# --compact-threshold fold the changelog into the payload with answers
+# unchanged. The bccs_serve socket front-end (--listen) is driven over a
+# real loopback connection: pipelined query/update/query with request ids
+# answer with per-connection epoch views matching bccs_query on the
+# equivalent graphs, a reconnect resending an applied update id gets the
+# kept ack replayed instead of re-applying, and SIGTERM drains admitted
+# items, flushes response tails, and exits 0.
 #
 # Registered under the ctest labels "e2e" and "sanitize" — the latter is the
 # suite exercised in the ASan+UBSan preset (cmake --preset asan-ubsan).
@@ -61,19 +63,37 @@ from_snap="$(run_query --index-file "$tmp/g.snap")"
 [ "$from_graph" = "$from_snap" ] \
   || fail "snapshot answers differ: '$from_graph' vs '$from_snap'"
 
-# Batch path: the snapshot-backed index is shared across worker threads.
-printf '%s %s\n%s %s\n' "$q1" "$q2" "$q2" "$q1" > "$tmp/batch.txt"
-batch_graph="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/batch.txt" \
-  --method l2p --threads 2 --repeat 3 | grep -E '^  \[')"
-batch_snap="$("$bin/bccs_query" --index-file "$tmp/g.snap" --batch-file "$tmp/batch.txt" \
-  --method l2p --threads 2 --repeat 3 | grep -E '^  \[')"
-[ -n "$batch_graph" ] || fail "no batch output"
+# bccs_serve --stream is the batch front-end. Its per-item lines, with the
+# "(T s)" timing stripped, are what batch runs compare.
+serve_items() { # $@: bccs_serve args
+  "$bin/bccs_serve" "$@" | grep -E '^\[[0-9]+\]' | sed 's/  ([0-9.]* s)$//'
+}
+
+# Batch path: the snapshot-backed index is shared across worker threads;
+# the two-query stream is tiled three times.
+for _ in 1 2 3; do
+  printf 'q %s %s\nq %s %s\n' "$q1" "$q2" "$q2" "$q1"
+done > "$tmp/batch.txt"
+batch_graph="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/batch.txt" \
+  --method l2p --threads 2)"
+batch_snap="$(serve_items --index-file "$tmp/g.snap" --stream "$tmp/batch.txt" \
+  --method l2p --threads 2)"
+[ "$(printf '%s\n' "$batch_graph" | wc -l)" -eq 6 ] || fail "no batch output"
 [ "$batch_graph" = "$batch_snap" ] || fail "batch answers differ"
 
-# --repeat 0 must be rejected like negative values, not run a zero-query batch.
-if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --repeat 0 \
+# bccs_query's batch flags are gone: each is rejected as unknown.
+for gone in "--batch-file $tmp/batch.txt" "--repeat 3" "--threads 2" "--lane bulk" \
+            "--result-cache 4" "--approx-adaptive"; do
+  # shellcheck disable=SC2086
+  if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" $gone \
+      >/dev/null 2>"$tmp/gone.err"; then
+    fail "removed flag accepted by bccs_query: $gone"
+  fi
+  grep -q "unknown flag" "$tmp/gone.err" || fail "removed flag not reported unknown: $gone"
+done
+if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/batch.txt" --approx-adaptive \
     >/dev/null 2>&1; then
-  fail "--repeat 0 was accepted"
+  fail "removed flag accepted by bccs_serve: --approx-adaptive"
 fi
 
 # A snapshot must not silently serve a graph that changed on disk: editing
@@ -101,68 +121,92 @@ fi
 
 # --- Serving engine flags ---------------------------------------------------
 
-# Unknown methods are rejected upfront with the list of valid ones.
-if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" \
-    --method bogus >/dev/null 2>"$tmp/method.err"; then
-  fail "unknown method was accepted"
-fi
-grep -q "valid methods" "$tmp/method.err" || fail "usage did not list valid methods"
+# expect_reject PATTERN CMD...: CMD must exit 2 with PATTERN on stderr.
+expect_reject() {
+  local want="$1"
+  shift
+  local rc=0
+  "$@" >/dev/null 2>"$tmp/reject.err" || rc=$?
+  [ "$rc" -eq 2 ] || fail "exit $rc, want 2: $*"
+  grep -q -- "$want" "$tmp/reject.err" || fail "no reason matching '$want': $*"
+}
+query_cmd=("$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2")
+serve_cmd=("$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/batch.txt")
 
-# --deadline-ms / --approx-samples must be positive integers; the count and
-# parameter flags (--threads, --k1/--k2, --b, --result-cache, --cache-bytes)
-# share the same strict numeric contract instead of silently falling back on
-# garbage.
-for bad in "--deadline-ms 0" "--deadline-ms -3" "--deadline-ms abc" \
-           "--approx-samples 0" "--approx-samples xyz" \
-           "--threads -1" "--threads abc" "--threads 1.5" \
-           "--k1 -2" "--k2 xyz" "--b 0" "--b -1" "--b abc" \
-           "--result-cache -1" "--result-cache abc" "--result-cache 1.5" \
-           "--cache-bytes -5" "--cache-bytes xyz" "--cache-bytes 2.5"; do
+# Both tools parse the engine flags with one strict contract: unknown
+# methods list the valid ones, and a numeric value that is not a clean
+# integer in its field's range is rejected instead of falling back or
+# narrowing (--k1 4294967297 must not run as --k1 1).
+for cmd in query serve; do
+  declare -n tool="${cmd}_cmd"
+  expect_reject "valid methods" "${tool[@]}" --method bogus
+  for bad in "--deadline-ms 0" "--deadline-ms -3" "--deadline-ms abc" \
+             "--approx-samples 0" "--approx-samples xyz" "--approx-threshold 0" \
+             "--k1 -2" "--k2 xyz" "--k1 4294967297" "--k2 4294967296" \
+             "--b 0" "--b -1" "--b abc" \
+             "--cache-bytes -5" "--cache-bytes xyz" "--cache-bytes 2.5"; do
+    # shellcheck disable=SC2086
+    expect_reject "must be an integer" "${tool[@]}" $bad
+  done
+  "${tool[@]}" --approx-threshold 8 >/dev/null 2>"$tmp/thresh.err" \
+    || fail "bccs_$cmd --approx-threshold alone failed"
+  grep -q "no effect without --approx-samples" "$tmp/thresh.err" \
+    || fail "bccs_$cmd did not warn about --approx-threshold alone"
+  unset -n tool
+done
+
+# Query ids must be clean integers that fit a vertex id: no abort on
+# garbage, no wrap-around of 2^32 to vertex 0.
+expect_reject "not a vertex id" "$bin/bccs_query" --graph "$tmp/g.txt" --queries a,b
+expect_reject "not a vertex id" "$bin/bccs_query" --graph "$tmp/g.txt" \
+  --queries 4294967296,12
+expect_reject "must be vertex ids" "$bin/bccs_query" --graph "$tmp/g.txt" \
+  --ql 4294967296 --qr "$q2"
+
+# bccs_serve's own count flags share the strict contract.
+for bad in "--threads -1" "--threads abc" "--threads 1.5" "--bulk-cap -1" \
+           "--result-cache -1" "--result-cache abc" "--result-cache 1.5"; do
   # shellcheck disable=SC2086
-  if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" $bad \
-      >/dev/null 2>&1; then
-    fail "invalid flag value accepted: $bad"
+  if "${serve_cmd[@]}" $bad >/dev/null 2>&1; then
+    fail "invalid flag value accepted by bccs_serve: $bad"
   fi
 done
 
 # A typo'd huge --threads is clamped to the hardware, not spawned.
-"$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" --repeat 2 \
-  --threads 99999 >/dev/null 2>"$tmp/clamp.err" || fail "clamped thread count failed"
+"${serve_cmd[@]}" --threads 99999 >/dev/null 2>"$tmp/clamp.err" \
+  || fail "clamped thread count failed"
 grep -q "clamped to hardware concurrency" "$tmp/clamp.err" \
   || fail "huge --threads was not clamped"
-if "$bin/bccs_query" --graph "$tmp/g.txt" --ql "$q1" --qr "$q2" \
-    --lane sideways >/dev/null 2>&1; then
+
+# Mixed-lane stream (per-line lane column) reports per-lane percentiles,
+# serves every query within a generous deadline, and reports its qps.
+printf 'q %s %s interactive\nq %s %s bulk\nq %s %s\n' \
+  "$q1" "$q2" "$q2" "$q1" "$q1" "$q2" > "$tmp/lanes.txt"
+lanes_out="$("$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+  --threads 2 --deadline-ms 10000)"
+echo "$lanes_out" | grep -q "lane interactive" || fail "no interactive lane summary"
+echo "$lanes_out" | grep -q "lane bulk" || fail "no bulk lane summary"
+echo "$lanes_out" | grep -q "; 0 timed out" || fail "generous deadline timed out"
+echo "$lanes_out" | grep -q '^served 3 items .*qps=[0-9]' || fail "no qps in served line"
+printf 'q %s %s sideways\n' "$q1" "$q2" > "$tmp/bad_lane.txt"
+if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/bad_lane.txt" \
+    >/dev/null 2>&1; then
   fail "invalid lane was accepted"
 fi
 
-# Mixed-lane batch (per-line lane column) reports per-lane percentiles and
-# serves every query within a generous deadline.
-printf '%s %s interactive\n%s %s bulk\n%s %s\n' \
-  "$q1" "$q2" "$q2" "$q1" "$q1" "$q2" > "$tmp/lanes.txt"
-lanes_out="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --deadline-ms 10000 --lane bulk)"
-echo "$lanes_out" | grep -q "lane interactive" || fail "no interactive lane summary"
-echo "$lanes_out" | grep -q "lane bulk" || fail "no bulk lane summary"
-echo "$lanes_out" | grep -q "0 timed out" || fail "generous deadline timed out"
-
-# Approx batches: same seed => identical answers across thread counts.
-approx_1="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 1 --approx-samples 64 --approx-threshold 1 | grep -E '^  \[')"
-approx_2="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 | grep -E '^  \[')"
+# Approx streams (Online-BCC: on this graph LP's leaders always hold, so it
+# never samples): each estimate samples clamp(alive / 4, 64, N) pairs, a
+# pure function of the seed and the candidate size, so answers are
+# identical across thread counts.
+approx_1="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+  --threads 1 --method online --approx-samples 64 --approx-threshold 1)"
+approx_2="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+  --threads 2 --method online --approx-samples 64 --approx-threshold 1)"
 [ -n "$approx_1" ] || fail "no approx batch output"
 [ "$approx_1" = "$approx_2" ] || fail "approx answers differ across thread counts"
-
-# Adaptive sampling keeps the same determinism guarantee: the per-round
-# sample count is a pure function of the candidate size.
-adaptive_1="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 1 --approx-samples 64 --approx-threshold 1 --approx-adaptive \
-  | grep -E '^  \[')"
-adaptive_2="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 --approx-adaptive \
-  | grep -E '^  \[')"
-[ -n "$adaptive_1" ] || fail "no adaptive approx batch output"
-[ "$adaptive_1" = "$adaptive_2" ] || fail "adaptive approx answers differ across threads"
+"$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" --threads 2 \
+  --method online --approx-samples 256 --approx-threshold 1 | grep -q 'approx_checks=[1-9]' \
+  || fail "approx stream never took the sampled path"
 
 # --- Incremental butterfly maintenance: --no-incremental-butterflies --------
 
@@ -170,11 +214,10 @@ adaptive_2="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.tx
 # incremental counter (the default) must equal the per-round-recount run.
 for m in lp online; do
   for t in 1 2; do
-    inc="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-      --threads "$t" --method "$m" | grep -E '^  \[')"
-    rec="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-      --threads "$t" --method "$m" --no-incremental-butterflies \
-      | grep -E '^  \[')"
+    inc="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+      --threads "$t" --method "$m")"
+    rec="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+      --threads "$t" --method "$m" --no-incremental-butterflies)"
     [ -n "$inc" ] || fail "no batch output (method $m, threads $t)"
     [ "$inc" = "$rec" ] \
       || fail "--no-incremental-butterflies changed answers (method $m, threads $t)"
@@ -183,18 +226,18 @@ done
 
 # Approx rounds mark the counter stale mid-query (forced fallback recounts);
 # the answers still must not depend on the flag.
-approx_inc="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 | grep -E '^  \[')"
-approx_rec="$("$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" \
-  --threads 2 --approx-samples 64 --approx-threshold 1 \
-  --no-incremental-butterflies | grep -E '^  \[')"
-[ "$approx_inc" = "$approx_rec" ] \
+approx_rec="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+  --threads 2 --method online --approx-samples 64 --approx-threshold 1 \
+  --no-incremental-butterflies)"
+[ "$approx_2" = "$approx_rec" ] \
   || fail "--no-incremental-butterflies changed answers under approx rounds"
 
-# The batch summary carries the per-phase breakdown including the delta
-# counter's time and round counters.
-"$bin/bccs_query" --graph "$tmp/g.txt" --batch-file "$tmp/lanes.txt" --threads 1 \
-  | grep -q '^phases: .*delta=' || fail "no per-phase breakdown in batch output"
+# Both tools print the per-phase breakdown, including the delta counter's
+# time and round counters.
+"$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" --threads 1 \
+  | grep -q '^phases: .*delta=.*delta_rounds=' || fail "no per-phase breakdown in bccs_serve"
+"${query_cmd[@]}" | grep -q '^phases: .*delta=.*delta_rounds=' \
+  || fail "no per-phase breakdown in bccs_query"
 
 # --- Dynamic graphs: changelog + --updates-file -----------------------------
 
@@ -329,24 +372,12 @@ graph_members="$("$bin/bccs_query" --graph "$tmp/g2.txt" --ql "$q1" --qr "$q2" \
 [ "$serve_members" = "$graph_members" ] \
   || fail "streamed post-update answer differs: $serve_members vs $graph_members"
 
-# Malformed stream lines and invalid numeric flags are rejected upfront.
+# Malformed stream lines are rejected.
 printf 'x nonsense\n' > "$tmp/bad_stream.txt"
 if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/bad_stream.txt" \
     >/dev/null 2>&1; then
   fail "malformed stream line was accepted"
 fi
-if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" \
-    --bulk-cap -1 >/dev/null 2>&1; then
-  fail "negative --bulk-cap was accepted"
-fi
-for bad in "--result-cache -1" "--result-cache abc" "--cache-bytes -5" \
-           "--cache-bytes 1.5"; do
-  # shellcheck disable=SC2086
-  if "$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" $bad \
-      >/dev/null 2>&1; then
-    fail "invalid cache flag value accepted by bccs_serve: $bad"
-  fi
-done
 
 # A cached serve run answers identically to the uncached one above and
 # reports its hit/miss counters in the shutdown summary.
