@@ -19,9 +19,9 @@
 // block-cache eviction-pressure run, drives the socket front-end over 100+
 // concurrent loopback TCP connections (sustained QPS + client-observed
 // interactive p95 vs the in-process baseline, with every wire response
-// byte-identical to the in-process answer), peels the seeded big-graph
-// queries with the incremental butterfly counter on vs per-round recounts
-// (bit-identical answers, butterfly-phase speedup), and emits a JSON
+// byte-identical to the in-process answer), peels seeded queries with
+// Online's delta butterfly counter vs LP's leader pair (bit-identical
+// answers, counter-served exact checks), and emits a JSON
 // summary (default BENCH_PR10.json) so future PRs can compare against
 // this one.
 //
@@ -173,22 +173,20 @@ struct NetworkRow {
                            // the in-process community at epoch 1
 };
 
-/// This PR's headline: the same seeded queries peeled to convergence with the
-/// incremental butterfly counter on (per-round validity from maintained chi)
-/// vs off (full recount per round), in online mode where every round needs an
-/// exact check. Answers must be bit-identical; the speedup is the ratio of
-/// the butterfly-maintenance cost (recount seconds vs recount-fallback +
-/// delta-debit seconds).
+/// The same seeded queries peeled to convergence by the two exact per-round
+/// validity mechanisms: Online's delta counter (every member's chi debited
+/// per removal) and LP's leader pair (two leaders debited, a recount when
+/// one fails). Answers must be bit-identical, and the counter must serve
+/// Online's exact checks with fewer full counts than checks.
 struct PeelingRow {
   std::size_t queries = 0;
-  double incremental_wall_seconds = 0, recount_wall_seconds = 0;
-  double incremental_butterfly_seconds = 0;  // fallback recounts + delta debits
-  double recount_butterfly_seconds = 0;      // per-round full recounts
-  double speedup = 0;        // recount_butterfly / incremental_butterfly
-  double wall_speedup = 0;   // end-to-end, diluted by find_g0 + distances
-  std::size_t incremental_counting_calls = 0, recount_counting_calls = 0;
+  double online_wall_seconds = 0, lp_wall_seconds = 0;
+  double online_butterfly_seconds = 0;  // fallback recounts + the debit cascade
+  double lp_butterfly_seconds = 0;      // leader-failure recounts + Algorithm 6/7
+  std::size_t online_counting_calls = 0, lp_counting_calls = 0;
+  std::size_t online_exact_checks = 0;  // delta_rounds + online_counting_calls
   std::size_t delta_rounds = 0, delta_fallbacks = 0;
-  bool identical_to_recount = false;
+  bool identical_to_leader_pair = false;
 };
 
 /// Crash-recovery cost on the big index graph: load of the bare base
@@ -383,22 +381,18 @@ void PrintJson(std::FILE* f, const std::vector<MethodRow>& rows, const IndexRow&
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"peeling\": {\n");
   std::fprintf(f, "    \"queries\": %zu,\n", peeling.queries);
-  std::fprintf(f, "    \"incremental_wall_seconds\": %.6f,\n",
-               peeling.incremental_wall_seconds);
-  std::fprintf(f, "    \"recount_wall_seconds\": %.6f,\n", peeling.recount_wall_seconds);
-  std::fprintf(f, "    \"incremental_butterfly_seconds\": %.6f,\n",
-               peeling.incremental_butterfly_seconds);
-  std::fprintf(f, "    \"recount_butterfly_seconds\": %.6f,\n",
-               peeling.recount_butterfly_seconds);
-  std::fprintf(f, "    \"speedup\": %.3f,\n", peeling.speedup);
-  std::fprintf(f, "    \"wall_speedup\": %.3f,\n", peeling.wall_speedup);
-  std::fprintf(f, "    \"incremental_counting_calls\": %zu,\n",
-               peeling.incremental_counting_calls);
-  std::fprintf(f, "    \"recount_counting_calls\": %zu,\n", peeling.recount_counting_calls);
+  std::fprintf(f, "    \"online_wall_seconds\": %.6f,\n", peeling.online_wall_seconds);
+  std::fprintf(f, "    \"lp_wall_seconds\": %.6f,\n", peeling.lp_wall_seconds);
+  std::fprintf(f, "    \"online_butterfly_seconds\": %.6f,\n",
+               peeling.online_butterfly_seconds);
+  std::fprintf(f, "    \"lp_butterfly_seconds\": %.6f,\n", peeling.lp_butterfly_seconds);
+  std::fprintf(f, "    \"online_counting_calls\": %zu,\n", peeling.online_counting_calls);
+  std::fprintf(f, "    \"online_exact_checks\": %zu,\n", peeling.online_exact_checks);
+  std::fprintf(f, "    \"lp_counting_calls\": %zu,\n", peeling.lp_counting_calls);
   std::fprintf(f, "    \"delta_rounds\": %zu,\n", peeling.delta_rounds);
   std::fprintf(f, "    \"delta_fallbacks\": %zu,\n", peeling.delta_fallbacks);
-  std::fprintf(f, "    \"identical_to_recount\": %s\n",
-               peeling.identical_to_recount ? "true" : "false");
+  std::fprintf(f, "    \"identical_to_leader_pair\": %s\n",
+               peeling.identical_to_leader_pair ? "true" : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"index\": {\n");
   std::fprintf(f, "    \"index_build_seconds\": %.6f,\n", index.build_seconds);
@@ -1186,17 +1180,17 @@ CachingRow MeasureCaching(const PlantedGraph& pg, std::span<const BccQuery> quer
 
 }  // namespace
 
-/// Seeded queries peeled to convergence in online mode with the incremental
-/// counter on vs off. The workload is a two-label Erdos-Renyi graph: the
+/// Seeded queries peeled to convergence by Online (the delta counter) and by
+/// LP (the leader pair). The workload is a two-label Erdos-Renyi graph: the
 /// homogeneous edges give auto-k a real core so Find-G0 returns the whole
 /// k-core component, and the heterogeneous edges carry enough butterflies
 /// that a threshold b near the typical chi drives an onion-shaped cascade —
 /// every round removes the current chi tail and needs an exact validity
-/// check over the survivors. With the flag off each round pays a full
-/// O(alive wedges) recount; the counter's debit walk is O(wedges through
-/// the removed batch), so the whole peel costs about one recount. Both runs
-/// are sequential so the stage timers are comparable, and the communities
-/// must be bit-identical.
+/// check over the survivors. Recounting would pay O(alive wedges) per round;
+/// the counter's debit walk is O(wedges through the removed batch), so the
+/// whole Online peel costs about one recount. Both runs are sequential so
+/// the stage timers are comparable, and the communities must be
+/// bit-identical.
 PeelingRow MeasurePeeling(std::size_t n, double avg_degree, std::uint64_t b,
                           std::size_t num_queries) {
   LabeledGraph g = GenerateErdosRenyi(n, avg_degree, /*num_labels=*/2, /*seed=*/1013);
@@ -1218,38 +1212,31 @@ PeelingRow MeasurePeeling(std::size_t n, double avg_degree, std::uint64_t b,
   row.queries = queries.size();
   BccParams params;  // auto k: the query vertex's coreness in its label group
   params.b = b;      // threshold near typical chi -> a long peel
-  SearchOptions on = OnlineBccOptions();
   // Single-vertex deletion: one exact validity check per removed vertex, the
-  // fine-grained peel where per-round recounts are at their worst.
-  on.bulk_delete = false;
-  SearchOptions off = on;
-  off.incremental_butterflies = false;
+  // fine-grained peel where per-round recounts would be at their worst.
+  SearchOptions online = OnlineBccOptions();
+  online.bulk_delete = false;
+  SearchOptions lp = LpBccOptions();
+  lp.bulk_delete = false;
 
   BatchRunner seq(1);
-  seq.RunBccBatch(g, queries, params, on);  // warm-up
-  BatchResult r_on = seq.RunBccBatch(g, queries, params, on);
-  seq.RunBccBatch(g, queries, params, off);
-  BatchResult r_off = seq.RunBccBatch(g, queries, params, off);
+  seq.RunBccBatch(g, queries, params, online);  // warm-up
+  BatchResult r_online = seq.RunBccBatch(g, queries, params, online);
+  seq.RunBccBatch(g, queries, params, lp);
+  BatchResult r_lp = seq.RunBccBatch(g, queries, params, lp);
 
-  const SearchStats s_on = SumStats(r_on);
-  const SearchStats s_off = SumStats(r_off);
-  row.incremental_wall_seconds = r_on.latency.wall_seconds;
-  row.recount_wall_seconds = r_off.latency.wall_seconds;
-  row.incremental_butterfly_seconds =
-      s_on.butterfly_seconds + s_on.butterfly_delta_seconds;
-  row.recount_butterfly_seconds =
-      s_off.butterfly_seconds + s_off.butterfly_delta_seconds;
-  row.speedup = row.incremental_butterfly_seconds > 0
-                    ? row.recount_butterfly_seconds / row.incremental_butterfly_seconds
-                    : 0;
-  row.wall_speedup = row.incremental_wall_seconds > 0
-                         ? row.recount_wall_seconds / row.incremental_wall_seconds
-                         : 0;
-  row.incremental_counting_calls = s_on.butterfly_counting_calls;
-  row.recount_counting_calls = s_off.butterfly_counting_calls;
-  row.delta_rounds = s_on.delta_rounds;
-  row.delta_fallbacks = s_on.delta_fallbacks;
-  row.identical_to_recount = SameCommunities(r_on, r_off);
+  const SearchStats s_online = SumStats(r_online);
+  const SearchStats s_lp = SumStats(r_lp);
+  row.online_wall_seconds = r_online.latency.wall_seconds;
+  row.lp_wall_seconds = r_lp.latency.wall_seconds;
+  row.online_butterfly_seconds = s_online.butterfly_seconds + s_online.butterfly_delta_seconds;
+  row.lp_butterfly_seconds = s_lp.butterfly_seconds + s_lp.leader_update_seconds;
+  row.online_counting_calls = s_online.butterfly_counting_calls;
+  row.online_exact_checks = s_online.delta_rounds + s_online.butterfly_counting_calls;
+  row.lp_counting_calls = s_lp.butterfly_counting_calls;
+  row.delta_rounds = s_online.delta_rounds;
+  row.delta_fallbacks = s_online.delta_fallbacks;
+  row.identical_to_leader_pair = SameCommunities(r_online, r_lp);
   return row;
 }
 
@@ -1425,20 +1412,22 @@ int main(int argc, char** argv) {
       approx.approx_checks, approx.identical_across_threads ? "yes" : "NO",
       approx.exact_verified ? "yes" : "NO");
 
-  // The incremental peel counter under a long butterfly-driven cascade
-  // (candidate = the whole bipartite component, peeled down round by round).
+  // The delta counter vs the leader pair under a long butterfly-driven
+  // cascade (candidate = the whole bipartite component, peeled down round by
+  // round).
   PeelingRow peeling =
       MeasurePeeling(static_cast<std::size_t>(args.GetIntOr("peel-n", 1000)),
                      /*avg_degree=*/16.0,
                      static_cast<std::uint64_t>(args.GetIntOr("peel-b", 8)),
                      /*num_queries=*/8);
   std::printf(
-      "peeling     butterfly recount=%.4fs incremental=%.4fs speedup=%.2fx "
-      "(wall %.2fx)  calls=%zu->%zu  delta_rounds=%zu fallbacks=%zu  identical=%s\n",
-      peeling.recount_butterfly_seconds, peeling.incremental_butterfly_seconds,
-      peeling.speedup, peeling.wall_speedup, peeling.recount_counting_calls,
-      peeling.incremental_counting_calls, peeling.delta_rounds, peeling.delta_fallbacks,
-      peeling.identical_to_recount ? "yes" : "NO");
+      "peeling     online wall=%.4fs butterfly=%.4fs calls=%zu/%zu checks  "
+      "delta_rounds=%zu fallbacks=%zu  lp wall=%.4fs butterfly=%.4fs calls=%zu  "
+      "identical=%s\n",
+      peeling.online_wall_seconds, peeling.online_butterfly_seconds,
+      peeling.online_counting_calls, peeling.online_exact_checks, peeling.delta_rounds,
+      peeling.delta_fallbacks, peeling.lp_wall_seconds, peeling.lp_butterfly_seconds,
+      peeling.lp_counting_calls, peeling.identical_to_leader_pair ? "yes" : "NO");
 
   // Dynamic edge-update batches: incremental ApplyUpdates vs full rebuild
   // on the big index graph (one shared all-pairs base index).
@@ -1512,10 +1501,10 @@ int main(int argc, char** argv) {
   // byte-identical to the in-process community. The QPS/p95 numbers are
   // trajectory data, not gates — loopback overhead is real and expected.
   ok = ok && network.identical;
-  // The incremental peel counter must be invisible to answers and must
-  // actually replace recounts (fewer full counting calls, delta rounds
-  // served). The speedup itself is trajectory data.
-  ok = ok && peeling.identical_to_recount && peeling.delta_rounds > 0 &&
-       peeling.incremental_counting_calls < peeling.recount_counting_calls;
+  // The two validity mechanisms must agree on every answer, and the counter
+  // must actually replace recounts: fewer full counts than Online's exact
+  // checks. The timings are trajectory data.
+  ok = ok && peeling.identical_to_leader_pair &&
+       peeling.online_counting_calls < peeling.online_exact_checks;
   return ok ? 0 : 1;
 }

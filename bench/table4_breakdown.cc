@@ -36,9 +36,13 @@ int main() {
               online.butterfly_seconds, lp.butterfly_seconds + lp.leader_update_seconds,
               speedup(online.butterfly_seconds,
                       lp.butterfly_seconds + lp.leader_update_seconds));
-  std::printf("%-28s %12zu %12zu %9.1fx\n", "#butterfly counting",
-              online.butterfly_counting_calls, lp.butterfly_counting_calls,
-              speedup(static_cast<double>(online.butterfly_counting_calls),
+  // Online-BCC's exact checks: the rounds its delta counter serves plus its
+  // full counts, i.e. the Algorithm 3 calls the paper's per-round recount
+  // pays.
+  const std::size_t online_checks = online.delta_rounds + online.butterfly_counting_calls;
+  std::printf("%-28s %12zu %12zu %9.1fx\n", "#butterfly counting", online_checks,
+              lp.butterfly_counting_calls,
+              speedup(static_cast<double>(online_checks),
                       static_cast<double>(lp.butterfly_counting_calls)));
   std::printf("%-28s %12.4f %12.4f %9.1fx\n", "Total time", online_total, lp_total,
               speedup(online_total, lp_total));

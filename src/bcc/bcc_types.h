@@ -54,9 +54,10 @@ struct SearchStats {
   std::size_t leader_rebuilds = 0;
   /// Exact per-round validity checks answered from incrementally maintained
   /// chi (PeelButterflyCounter) instead of a full Algorithm 3 recount.
+  /// Online methods only: leader-pair searches always report 0.
   std::size_t delta_rounds = 0;
   /// Full recounts forced by counter staleness (per-round debit work over
-  /// the wedge budget, approx rounds, deadline mid-cascade).
+  /// the wedge budget, approx rounds, deadline mid-cascade). Online only.
   std::size_t delta_fallbacks = 0;
   std::size_t vertices_removed = 0;
   std::size_t g0_size = 0;
@@ -67,10 +68,12 @@ struct SearchStats {
   double find_g0_seconds = 0;
   double query_distance_seconds = 0;
   double butterfly_seconds = 0;       // full counting
-  /// Peel-cascade time while the incremental counter is active (core
-  /// maintenance plus wedge debits; replaces the per-round recount cost).
+  /// Online peel-cascade time (core maintenance plus the counter's wedge
+  /// debits; replaces the per-round recount cost).
   double butterfly_delta_seconds = 0;
-  double leader_update_seconds = 0;   // Algorithm 6/7 work
+  /// Leader-pair peel-cascade time plus leader identification (Algorithm
+  /// 6/7 work).
+  double leader_update_seconds = 0;
   double total_seconds = 0;
 
   SearchStats& operator+=(const SearchStats& o) {
@@ -139,19 +142,12 @@ struct SearchOptions {
   bool bulk_delete = true;
   /// Algorithm 5 incremental query-distance maintenance.
   bool fast_query_distance = false;
-  /// Algorithms 6 + 7 leader-pair strategy instead of recounting all
-  /// butterflies every round.
+  /// Selects how each peel round is validated (DESIGN.md contract 8). On:
+  /// the leader pair of Algorithms 6 + 7, debiting only the two leaders per
+  /// removed vertex and recounting (Algorithm 3) when a leader fails. Off
+  /// (Online): every member's chi maintained by a PeelButterflyCounter,
+  /// recounting only when the counter goes stale.
   bool use_leader_pair = false;
-  /// Leader search radius rho of Algorithm 6.
-  std::uint32_t leader_rho = 2;
-  /// Incremental butterfly maintenance across peel rounds
-  /// (PeelButterflyCounter): per-round exact validity reads maintained chi —
-  /// debited per removed vertex in O(wedges through it) — instead of
-  /// recounting the alive candidate. chi is exact integer arithmetic either
-  /// way, so answers are bit-identical with this on or off; the switch
-  /// exists for benchmarking and as an operational escape hatch
-  /// (`--no-incremental-butterflies`).
-  bool incremental_butterflies = true;
   /// Sampled validity checks on huge candidates (off by default).
   ApproxOptions approx;
 };

@@ -10,6 +10,9 @@
 
 namespace bccs {
 
+/// Leader search radius rho of Algorithm 6, used by every leader-pair search.
+inline constexpr std::uint32_t kLeaderRho = 2;
+
 /// One side's leader: a vertex expected to keep a large butterfly degree
 /// through many peeling rounds (paper Observations 1 and 2).
 struct LeaderState {

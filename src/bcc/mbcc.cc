@@ -18,17 +18,17 @@
 namespace bccs {
 namespace {
 
-// State of one label pair (i, j), i < j: its latest butterfly counts and the
-// pair of leaders. A pair is "active" while both sides still have a vertex
-// with chi >= b; inactive pairs can never reactivate because deletions only
-// lower butterfly degrees.
+// State of one label pair (i, j), i < j, and its validity mechanism: the
+// pair of leaders (leader-pair methods) or a delta counter (Online). A pair
+// is "active" while both sides still have a vertex with chi >= b; inactive
+// pairs can never reactivate because deletions only lower butterfly degrees.
 struct PairState {
   std::size_t i = 0, j = 0;
   bool active = false;
   LeaderState leader_i, leader_j;
-  /// Incremental chi maintenance for this pair's bipartite subgraph
-  /// (SearchOptions::incremental_butterflies). Owned by the workspace pool;
-  /// null when the flag is off or the pair started inactive.
+  /// Online only: incremental chi maintenance for this pair's bipartite
+  /// subgraph. Owned by the workspace pool; null for leader-pair methods
+  /// and for pairs that started inactive.
   PeelButterflyCounter* pc = nullptr;
 };
 
@@ -181,20 +181,19 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       ps.j = j;
       count_pair(i, j);
       ps.active = counts.max_left >= p.b && counts.max_right >= p.b;
-      if (ps.active && opts.incremental_butterflies) {
-        // Seed this pair's delta counter from the count just computed; from
-        // here chi for the pair is debited per removed vertex instead of
-        // recounted per round.
+      if (ps.active && opts.use_leader_pair) {
+        ScopedAccumulator t(&stats->leader_update_seconds);
+        ps.leader_i = IdentifyLeader(g, cand.GroupMask(i), q.vertices[i], kLeaderRho, p.b,
+                                     counts, counts.max_left, counts.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(g, cand.GroupMask(j), q.vertices[j], kLeaderRho, p.b,
+                                     counts, counts.max_right, counts.argmax_right, ws);
+      } else if (ps.active) {
+        // Online: seed this pair's delta counter from the count just
+        // computed; from here its chi is debited per removed vertex instead
+        // of recounted per round.
         ps.pc = ws->AcquirePeelCounter();
         ps.pc->Init(g, groups[i], groups[j], cand.GroupMask(i), cand.GroupMask(j), ws);
         ps.pc->SeedFrom(counts);
-      }
-      if (ps.active && opts.use_leader_pair) {
-        ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(g, cand.GroupMask(i), q.vertices[i], opts.leader_rho, p.b,
-                                     counts, counts.max_left, counts.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(g, cand.GroupMask(j), q.vertices[j], opts.leader_rho, p.b,
-                                     counts, counts.max_right, counts.argmax_right, ws);
       }
       pairs.push_back(ps);
     }
@@ -278,18 +277,17 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     bool cascade_expired = false;
     std::vector<VertexId> removed;
 
-    // Pre-round counter upkeep. The per-round debit budget resets here, and
-    // any counter is invalidated up front if this round *could* take the
-    // sampled-estimate path below: approx_this_round is decided on the
-    // post-removal alive count, which never exceeds the pre-removal count, so
-    // a counter that is still fresh here implies the round is exact.
+    // Pre-round counter upkeep (Online). The per-round debit budget resets
+    // here, and any counter is invalidated up front if this round *could*
+    // take the sampled-estimate path below: approx_this_round is decided on
+    // the post-removal alive count, which never exceeds the pre-removal
+    // count, so a counter that is still fresh here implies the round is
+    // exact.
     const bool approx_possible = approx.enabled && cand.NumAlive() > approx.threshold;
-    bool any_live = false;
     for (PairState& ps : pairs) {
       if (ps.pc == nullptr) continue;
       if (approx_possible) ps.pc->MarkStale();
       ps.pc->BeginRound();
-      any_live = any_live || (ps.active && !ps.pc->stale());
     }
 
     auto pair_loss = [&](PairState& ps, VertexId v) {
@@ -306,37 +304,24 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
         ps.leader_j.chi = loss > ps.leader_j.chi ? 0 : ps.leader_j.chi - loss;
       }
     };
+    // Per removed vertex, every active pair containing it is debited by its
+    // method: Algorithm 7 on the two leaders, or the counter on every chi (a
+    // refused debit stales the counter; the validity check then recounts).
     auto on_remove = [&](VertexId v) {
       std::uint32_t gv = cand.GroupOf(v);
       for (PairState& ps : pairs) {
         if (!ps.active || (ps.i != gv && ps.j != gv)) continue;
-        if (ps.pc != nullptr && !ps.pc->stale()) {
-          // Maintained chi covers the leaders too; they re-sync from the
-          // counter at the validity check, so LossOnDeletion is skipped.
-          if (ps.pc->OnRemove(v)) continue;
-          // The counter refused (debit budget exhausted) *without* touching
-          // chi, so its values are exact for the candidate before v. Pull the
-          // leaders' chi from it once, then fall back to per-leader debits.
-          if (ps.leader_i.leader != kInvalidVertex && cand.IsAlive(ps.leader_i.leader)) {
-            ps.leader_i.chi = ps.pc->Chi(ps.leader_i.leader);
-          }
-          if (ps.leader_j.leader != kInvalidVertex && cand.IsAlive(ps.leader_j.leader)) {
-            ps.leader_j.chi = ps.pc->Chi(ps.leader_j.leader);
-          }
+        if (opts.use_leader_pair) {
+          pair_loss(ps, v);
+        } else {
+          ps.pc->OnRemove(v);
         }
-        if (opts.use_leader_pair) pair_loss(ps, v);
       }
     };
-
-    if (any_live) {
-      ScopedAccumulator t(&stats->butterfly_delta_seconds);
+    {
+      ScopedAccumulator t(opts.use_leader_pair ? &stats->leader_update_seconds
+                                               : &stats->butterfly_delta_seconds);
       removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
-    } else if (opts.use_leader_pair) {
-      ScopedAccumulator t(&stats->leader_update_seconds);
-      removed = cand.RemoveAndMaintain(batch, on_remove, cascade_deadline, &cascade_expired);
-    } else {
-      removed = cand.RemoveAndMaintain(batch, [](VertexId) {}, cascade_deadline,
-                                       &cascade_expired);
     }
     for (VertexId v : removed) removal_round[v] = round_idx;
     stats->vertices_removed += removed.size();
@@ -359,41 +344,32 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
     next_round_exact = true;
     const bool approx_this_round =
         approx.enabled && cand.NumAlive() > approx.threshold;
-    // Exact per-pair counts for this round's validity check: served from the
-    // pair's fresh delta counter when possible, otherwise a full recount
-    // (refreshing the counter in passing so later rounds go back to deltas).
+    // Exact per-pair counts for this round's validity check. Leader pair: a
+    // full recount (Algorithm 3). Online: the pair's fresh delta counter,
+    // otherwise a full recount that refreshes the counter so later rounds go
+    // back to deltas.
     auto exact_pair = [&](PairState& ps) -> const ButterflyCounts& {
-      if (ps.pc != nullptr && !ps.pc->stale()) {
-        ++stats->delta_rounds;
-        return ps.pc->RefreshMaxes();
+      if (opts.use_leader_pair) {
+        count_pair(ps.i, ps.j);
+        return counts;
       }
-      if (ps.pc != nullptr) {
+      if (ps.pc->stale()) {
         {
           ScopedAccumulator t(&stats->butterfly_seconds);
           ps.pc->Recount();
         }
         ++stats->butterfly_counting_calls;
         ++stats->delta_fallbacks;
-        return ps.pc->RefreshMaxes();
+      } else {
+        ++stats->delta_rounds;
       }
-      count_pair(ps.i, ps.j);
-      return counts;
+      return ps.pc->RefreshMaxes();
     };
     for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
       PairState& ps = pairs[pi];
       if (!ps.active) continue;
       bool need_recount = !opts.use_leader_pair;
       if (opts.use_leader_pair) {
-        if (ps.pc != nullptr && !ps.pc->stale()) {
-          // Cascades with a fresh counter skipped the per-leader debits;
-          // read the maintained (exact) chi back before checking validity.
-          if (ps.leader_i.leader != kInvalidVertex && cand.IsAlive(ps.leader_i.leader)) {
-            ps.leader_i.chi = ps.pc->Chi(ps.leader_i.leader);
-          }
-          if (ps.leader_j.leader != kInvalidVertex && cand.IsAlive(ps.leader_j.leader)) {
-            ps.leader_j.chi = ps.pc->Chi(ps.leader_j.leader);
-          }
-        }
         // Leaders may be unset (kInvalidVertex) after an approx round.
         bool i_ok = ps.leader_i.leader != kInvalidVertex &&
                     cand.IsAlive(ps.leader_i.leader) && ps.leader_i.chi >= p.b;
@@ -434,10 +410,10 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       }
       if (opts.use_leader_pair) {
         ScopedAccumulator t(&stats->leader_update_seconds);
-        ps.leader_i = IdentifyLeader(g, cand.GroupMask(ps.i), q.vertices[ps.i], opts.leader_rho,
-                                     p.b, rc, rc.max_left, rc.argmax_left, ws);
-        ps.leader_j = IdentifyLeader(g, cand.GroupMask(ps.j), q.vertices[ps.j], opts.leader_rho,
-                                     p.b, rc, rc.max_right, rc.argmax_right, ws);
+        ps.leader_i = IdentifyLeader(g, cand.GroupMask(ps.i), q.vertices[ps.i], kLeaderRho, p.b,
+                                     rc, rc.max_left, rc.argmax_left, ws);
+        ps.leader_j = IdentifyLeader(g, cand.GroupMask(ps.j), q.vertices[ps.j], kLeaderRho, p.b,
+                                     rc, rc.max_right, rc.argmax_right, ws);
       }
     }
 #if BCCS_DCHECK_IS_ON

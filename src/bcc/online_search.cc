@@ -63,27 +63,25 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     BfsDistances(g, cand.alive(), q.qr, dist_r);
   }
 
-  // Leader pair state (LP strategy).
+  // One validity mechanism per method (DESIGN.md contract 8), both seeded
+  // from Find-G0's exact counts (same candidate, all members alive).
+  // Leader pair: Algorithm 7 debits the two leaders' chi per removed vertex;
+  // a failing leader triggers an Algorithm 3 recount into `recount` and
+  // re-identifies the leaders. Online: a PeelButterflyCounter debits every
+  // member's chi per removed vertex and recounts only once stale.
   LeaderButterflyUpdater updater(g, ws->LeaderStamp(n), ws->LeaderStampCounter());
-  const ButterflyCounts* counts = &g0.counts;
   ButterflyCounts recount;
   recount.chi = ws->U64ZeroPool().Acquire(n);
   LeaderState lead_l, lead_r;
+  PeelButterflyCounter* pc = nullptr;
   if (opts.use_leader_pair) {
     ScopedAccumulator t(&stats->leader_update_seconds);
-    lead_l = IdentifyLeader(g, cand.GroupMask(0), q.ql, opts.leader_rho, b, *counts,
-                            counts->max_left, counts->argmax_left, ws);
-    lead_r = IdentifyLeader(g, cand.GroupMask(1), q.qr, opts.leader_rho, b, *counts,
-                            counts->max_right, counts->argmax_right, ws);
-  }
-
-  // Incremental delta-chi maintenance: seeded from Find-G0's exact counts
-  // (same candidate, all members alive), debited per removed vertex inside
-  // the cascade, recounted only on staleness. chi is exact integer
-  // arithmetic both ways, so every validity decision below is bit-identical
-  // with the counter on or off.
-  PeelButterflyCounter* pc = nullptr;
-  if (opts.incremental_butterflies && g0.counts.chi.size() == n) {
+    lead_l = IdentifyLeader(g, cand.GroupMask(0), q.ql, kLeaderRho, b, g0.counts,
+                            g0.counts.max_left, g0.counts.argmax_left, ws);
+    lead_r = IdentifyLeader(g, cand.GroupMask(1), q.qr, kLeaderRho, b, g0.counts,
+                            g0.counts.max_right, g0.counts.argmax_right, ws);
+  } else {
+    BCCS_DCHECK(g0.counts.chi.size() == n) << "a found G0 carries its counts";
     pc = ws->AcquirePeelCounter();
     pc->Init(g, g0.left, g0.right, cand.GroupMask(0), cand.GroupMask(1), ws);
     pc->SeedFrom(g0.counts);
@@ -93,8 +91,8 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
   std::vector<std::uint32_t> removal_round = ws->U32InfPool().Acquire(n);
   std::vector<std::uint32_t> round_qd;
   // round_exact[i]: the check that validated round i's state was exact
-  // (Algorithm 3 or leader-chi maintenance), not a sampled estimate. Round 0
-  // is G0, exactly validated by Find-G0.
+  // (Algorithm 3, the counter or the leaders' chi), not a sampled estimate.
+  // Round 0 is G0, exactly validated by Find-G0.
   std::vector<char> round_exact;
   bool next_round_exact = true;
   bool used_approx = false;
@@ -158,20 +156,18 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
 
     const auto round_idx = static_cast<std::uint32_t>(round_qd.size() - 1);
 
-    // Incremental maintenance bookkeeping. A round that will be validated by
-    // a sampled estimate skips the debits entirely (chi goes stale by
-    // design and resyncs via a full recount when exact values are next
-    // needed); the candidate only shrinks during the cascade, so the
-    // pre-removal size check can never under-predict the approx path.
+    // Counter bookkeeping (Online). A round that may be validated by a
+    // sampled estimate skips the debits entirely (chi goes stale by design
+    // and resyncs via a full recount when exact values are next needed); the
+    // candidate only shrinks during the cascade, so the pre-removal size
+    // check can never under-predict the approx path.
     if (pc != nullptr) {
       if (approx.enabled && cand.NumAlive() > approx.threshold) pc->MarkStale();
       pc->BeginRound();
     }
-    bool counter_live = pc != nullptr && !pc->stale();
 
-    // Delete + core maintenance (Algorithm 4); incremental chi debits or
-    // Algorithm 7 run per removed vertex while the bipartite graph is still
-    // consistent.
+    // Delete + core maintenance (Algorithm 4); the method's chi debits run
+    // per removed vertex while the bipartite graph is still consistent.
     bool cascade_expired = false;
     std::vector<VertexId> removed;
     auto leader_loss = [&](VertexId v) {
@@ -188,38 +184,15 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
         lead_r.chi = loss > lead_r.chi ? 0 : lead_r.chi - loss;
       }
     };
-    if (counter_live) {
-      // The counter maintains every chi — the leaders' included — so the
-      // per-removal Algorithm 7 updates are skipped while it stays fresh.
-      // If it refuses mid-cascade (debit work over the wedge budget), its
-      // chi is still exact for the candidate just before the refused
-      // removal: sync the leaders' running chi once and resume the legacy
-      // per-removal updates for the rest of the cascade.
-      ScopedAccumulator t(&stats->butterfly_delta_seconds);
-      removed = cand.RemoveAndMaintain(
-          batch,
-          [&](VertexId v) {
-            if (counter_live) {
-              if (pc->OnRemove(v)) return;
-              counter_live = false;
-              if (opts.use_leader_pair) {
-                if (lead_l.leader != kInvalidVertex && cand.IsAlive(lead_l.leader)) {
-                  lead_l.chi = pc->Chi(lead_l.leader);
-                }
-                if (lead_r.leader != kInvalidVertex && cand.IsAlive(lead_r.leader)) {
-                  lead_r.chi = pc->Chi(lead_r.leader);
-                }
-              }
-            }
-            if (opts.use_leader_pair) leader_loss(v);
-          },
-          cascade_deadline, &cascade_expired);
-    } else if (opts.use_leader_pair) {
+    if (opts.use_leader_pair) {
       ScopedAccumulator t(&stats->leader_update_seconds);
       removed = cand.RemoveAndMaintain(batch, leader_loss, cascade_deadline, &cascade_expired);
     } else {
-      removed = cand.RemoveAndMaintain(batch, [](VertexId) {}, cascade_deadline,
-                                       &cascade_expired);
+      // A refused debit (stale counter, or work over the wedge budget) leaves
+      // the counter stale; the validity check below then recounts.
+      ScopedAccumulator t(&stats->butterfly_delta_seconds);
+      removed = cand.RemoveAndMaintain(
+          batch, [&](VertexId v) { pc->OnRemove(v); }, cascade_deadline, &cascade_expired);
     }
     for (VertexId v : removed) removal_round[v] = round_idx;
     stats->vertices_removed += removed.size();
@@ -241,43 +214,8 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
     // and the exact check takes over).
     const bool approx_this_round =
         approx.enabled && cand.NumAlive() > approx.threshold;
-    // Exact per-round counts: the maintained delta-chi while the counter is
-    // fresh (recount avoided, SearchStats::delta_rounds), a counter-refilling
-    // full recount after staleness (delta_fallbacks), or the legacy recount
-    // buffer with the counter off. Identical values in every case.
-    auto exact_counts = [&]() -> const ButterflyCounts& {
-      if (counter_live) {
-        ++stats->delta_rounds;
-        return pc->RefreshMaxes();
-      }
-      {
-        ScopedAccumulator t(&stats->butterfly_seconds);
-        if (pc != nullptr) {
-          pc->Recount();
-        } else {
-          CountButterfliesInto(g, g0.left, g0.right, cand.GroupMask(0), cand.GroupMask(1), ws,
-                               &recount);
-        }
-      }
-      ++stats->butterfly_counting_calls;
-      if (pc == nullptr) return recount;
-      ++stats->delta_fallbacks;
-      return pc->RefreshMaxes();
-    };
     bool valid = true;
     if (opts.use_leader_pair) {
-      // While the counter is fresh the leaders' chi lives in it (the
-      // per-removal Algorithm 7 updates were skipped); read it back before
-      // the validity shortcut. Both maintenance paths are exact, so the
-      // decision below is the same either way.
-      if (counter_live) {
-        if (lead_l.leader != kInvalidVertex && cand.IsAlive(lead_l.leader)) {
-          lead_l.chi = pc->Chi(lead_l.leader);
-        }
-        if (lead_r.leader != kInvalidVertex && cand.IsAlive(lead_r.leader)) {
-          lead_r.chi = pc->Chi(lead_r.leader);
-        }
-      }
       // Leaders may be unset (kInvalidVertex) after an approx round.
       bool left_ok = lead_l.leader != kInvalidVertex && cand.IsAlive(lead_l.leader) &&
                      lead_l.chi >= b;
@@ -289,27 +227,46 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
         lead_l = LeaderState{};
         lead_r = LeaderState{};
       } else {
-        const ButterflyCounts& rc = exact_counts();
+        {
+          ScopedAccumulator t(&stats->butterfly_seconds);
+          CountButterfliesInto(g, g0.left, g0.right, cand.GroupMask(0), cand.GroupMask(1), ws,
+                               &recount);
+        }
+        ++stats->butterfly_counting_calls;
         ++stats->leader_rebuilds;
         next_round_exact = true;
-        if (rc.max_left < b || rc.max_right < b) {
+        if (recount.max_left < b || recount.max_right < b) {
           valid = false;
         } else {
           ScopedAccumulator t(&stats->leader_update_seconds);
-          lead_l = IdentifyLeader(g, cand.GroupMask(0), q.ql, opts.leader_rho, b, rc,
-                                  rc.max_left, rc.argmax_left, ws);
-          lead_r = IdentifyLeader(g, cand.GroupMask(1), q.qr, opts.leader_rho, b, rc,
-                                  rc.max_right, rc.argmax_right, ws);
+          lead_l = IdentifyLeader(g, cand.GroupMask(0), q.ql, kLeaderRho, b, recount,
+                                  recount.max_left, recount.argmax_left, ws);
+          lead_r = IdentifyLeader(g, cand.GroupMask(1), q.qr, kLeaderRho, b, recount,
+                                  recount.max_right, recount.argmax_right, ws);
         }
       }
     } else if (!(approx_this_round && estimate_valid(round_idx))) {
-      const ButterflyCounts& rc = exact_counts();
+      // Online: the maintained chi while the counter is fresh (recount
+      // avoided, SearchStats::delta_rounds), else a counter-refilling full
+      // recount (delta_fallbacks).
+      if (pc->stale()) {
+        {
+          ScopedAccumulator t(&stats->butterfly_seconds);
+          pc->Recount();
+        }
+        ++stats->butterfly_counting_calls;
+        ++stats->delta_fallbacks;
+      } else {
+        ++stats->delta_rounds;
+      }
+      const ButterflyCounts& rc = pc->RefreshMaxes();
       next_round_exact = true;
       if (rc.max_left < b || rc.max_right < b) valid = false;
     }
 #if BCCS_DCHECK_IS_ON
-    // Debug-level equivalence audit (DESIGN.md contract 8): maintained chi
-    // must match a from-scratch recount after every exactly-validated round.
+    // Debug-level equivalence audit (DESIGN.md contract 8): the counter's chi
+    // must match a from-scratch recount after every exactly-validated Online
+    // round.
     if (pc != nullptr && !pc->stale()) pc->AuditAgainstRecount();
 #endif
     if (!valid) break;

@@ -383,8 +383,8 @@ class QueryWorkspace {
   std::vector<VertexId>* AcquireIdVec();
   void ReleaseIdVec(std::vector<VertexId>* vec);
 
-  /// Pooled incremental butterfly counters (SearchOptions::
-  /// incremental_butterflies): the counter's chi / position buffers come
+  /// Pooled incremental butterfly counters (the Online methods' validity
+  /// mechanism): the counter's chi / position buffers come
   /// from this workspace's scratch pools and its heap vectors keep their
   /// capacity while parked, so steady-state peeling allocates nothing.
   /// ReleasePeelCounter returns the counter's buffers (idempotent with the

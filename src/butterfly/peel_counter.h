@@ -12,7 +12,9 @@ namespace bccs {
 
 class QueryWorkspace;
 
-/// Incremental per-vertex butterfly maintenance across peeling rounds.
+/// Incremental per-vertex butterfly maintenance across peeling rounds: the
+/// per-round validity mechanism of the Online methods (leader-pair methods
+/// never acquire one; DESIGN.md contract 8).
 ///
 /// Owns the candidate's exact chi between full counts: when the peel cascade
 /// removes a vertex v, OnRemove(v) *subtracts* the wedge contributions routed
@@ -40,10 +42,10 @@ class QueryWorkspace;
 /// CountButterfliesInto — before its chi is read again; the search engines
 /// count those as SearchStats::delta_fallbacks.
 ///
-/// chi is exact integer arithmetic both ways, so with the counter on or off
-/// every per-round validity decision — and therefore every answer — is
-/// bit-identical. AuditAgainstRecount() asserts that equivalence per round
-/// in BCCS_DCHECK builds.
+/// chi is exact integer arithmetic, so every per-round validity decision —
+/// and therefore every answer — is the one a full recount would make (and
+/// the one the leader pair makes). AuditAgainstRecount() asserts that
+/// equivalence per round in BCCS_DCHECK builds.
 ///
 /// Instances are pooled in QueryWorkspace (AcquirePeelCounter): the chi and
 /// position buffers come from the workspace scratch pools and the heap /
@@ -83,10 +85,9 @@ class PeelButterflyCounter {
 
   /// Debits the wedge contributions of `v`, which is about to be removed
   /// (its mask bit still set; earlier removals of the same cascade already
-  /// cleared). Returns false — WITHOUT debiting, leaving chi exact for the
-  /// candidate before v's removal — when the counter is stale or the round's
-  /// debit work has exceeded the wedge budget; the counter is stale from
-  /// then on.
+  /// cleared). Returns false without debiting when the counter is stale or
+  /// the round's debit work has exceeded the wedge budget; the counter is
+  /// stale from then on, and the caller's next exact check must Recount().
   bool OnRemove(VertexId v);
 
   /// Marks chi stale (approx round, deadline mid-cascade). OnRemove refuses

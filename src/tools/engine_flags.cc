@@ -16,7 +16,6 @@ constexpr char kB[] = "b";
 constexpr char kDeadlineMs[] = "deadline-ms";
 constexpr char kApproxSamples[] = "approx-samples";
 constexpr char kApproxThreshold[] = "approx-threshold";
-constexpr char kNoIncremental[] = "no-incremental-butterflies";
 constexpr char kCacheBytes[] = "cache-bytes";
 
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
@@ -57,12 +56,12 @@ bool GetUint(const ArgParser& args, const char* name, std::uint64_t min, std::ui
 const char kEngineFlagsUsage[] =
     "                  [--method online|lp|l2p] [--k1 N] [--k2 N] [--b N]\n"
     "                  [--deadline-ms N] [--approx-samples N] [--approx-threshold N]\n"
-    "                  [--no-incremental-butterflies] [--cache-bytes N]\n";
+    "                  [--cache-bytes N]\n";
 
 std::vector<std::string> WithEngineFlags(std::initializer_list<std::string> tool_flags) {
   std::vector<std::string> known(tool_flags);
   known.insert(known.end(), {kMethod, kK1, kK2, kB, kDeadlineMs, kApproxSamples,
-                             kApproxThreshold, kNoIncremental, kCacheBytes});
+                             kApproxThreshold, kCacheBytes});
   return known;
 }
 
@@ -102,7 +101,6 @@ bool ParseEngineFlags(const ArgParser& args, EngineFlags* out, std::string* erro
                  "warning: --approx-threshold has no effect without --approx-samples; "
                  "approximate counting stays disabled\n");
   }
-  f.incremental_butterflies = !args.Has(kNoIncremental);
   f.pair_cache_bytes = cache_bytes;
   *out = f;
   return true;
@@ -119,7 +117,6 @@ QueryRequest EngineFlags::Prototype() const {
 void EngineFlags::ApplyTo(ServeOptions* opts) const {
   for (SearchOptions* s : {&opts->online, &opts->lp, &opts->mbcc, &opts->l2p.search}) {
     s->approx = approx;
-    s->incremental_butterflies = incremental_butterflies;
   }
   opts->pair_cache_bytes = pair_cache_bytes;
 }

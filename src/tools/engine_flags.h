@@ -31,21 +31,18 @@ namespace bccs {
 ///                                  re-check of the final answer
 ///   --approx-threshold N           candidate size where sampling starts
 ///                                  (default 4096)
-///   --no-incremental-butterflies   recount butterflies every peel round
-///                                  (answers are bit-identical either way)
 ///   --cache-bytes N                pair-butterfly block budget (0 = none)
 struct EngineFlags {
   QueryMethod method = QueryMethod::kLpBcc;
   BccParams params;
   double deadline_seconds = 0;  // 0 = none
   ApproxOptions approx;
-  bool incremental_butterflies = true;
   std::size_t pair_cache_bytes = 0;
 
   /// A two-label request carrying the method, deadline and parameters.
   QueryRequest Prototype() const;
-  /// Copies the approx, incremental-counter and pair-cache settings into
-  /// `opts` (every method's search options).
+  /// Copies the approx settings into every method's search options and the
+  /// pair-cache budget into `opts`.
   void ApplyTo(ServeOptions* opts) const;
 };
 

@@ -83,13 +83,11 @@ TEST(EngineFlagsTest, DefaultsAndValidValues) {
   EXPECT_EQ(f.params.b, 1u);
   EXPECT_EQ(f.deadline_seconds, 0.0);
   EXPECT_FALSE(f.approx.enabled);
-  EXPECT_TRUE(f.incremental_butterflies);
 
   ASSERT_TRUE(ParseEngineFlags(
       ArgParser::Parse({"--method", "online", "--k1", "4294967295", "--k2", "3", "--b", "2",
                         "--deadline-ms", "250", "--approx-samples", "512",
-                        "--approx-threshold", "100", "--cache-bytes", "0",
-                        "--no-incremental-butterflies"}),
+                        "--approx-threshold", "100", "--cache-bytes", "0"}),
       &f, &error))
       << error;
   EXPECT_EQ(f.method, QueryMethod::kOnlineBcc);
@@ -110,7 +108,6 @@ TEST(EngineFlagsTest, DefaultsAndValidValues) {
   for (const SearchOptions* s : {&so.online, &so.lp, &so.mbcc, &so.l2p.search}) {
     EXPECT_TRUE(s->approx.enabled);
     EXPECT_EQ(s->approx.samples, 512u);
-    EXPECT_FALSE(s->incremental_butterflies);
   }
 }
 
@@ -173,7 +170,7 @@ TEST(EngineFlagsTest, LanesAndKnownFlagNames) {
   ArgParser p = ArgParser::Parse({"--graph=g", "--approx-samples=5", "--cache-bytes=0",
                                   "--no-incremental-butterflies", "--approx-adaptive"});
   EXPECT_EQ(p.UnknownFlags(WithEngineFlags({"graph"})),
-            (std::vector<std::string>{"approx-adaptive"}));
+            (std::vector<std::string>{"approx-adaptive", "no-incremental-butterflies"}));
 }
 
 }  // namespace

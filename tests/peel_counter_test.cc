@@ -1,9 +1,9 @@
 // PeelButterflyCounter: delta-chi maintenance must be indistinguishable from
 // recounting. The unit tests drive the counter directly against a reference
 // recount after every single removal; the search-level tests assert the
-// bit-identity contract — same communities with the flag on or off, across
-// methods, thread counts, deadlines, and approx fallbacks (DESIGN.md,
-// contract 8).
+// bit-identity contract — the counter (Online) and the leader pair (LP)
+// return the same communities across options, thread counts and deadlines,
+// and approx fallbacks stay valid (DESIGN.md, contract 8).
 
 #include "butterfly/peel_counter.h"
 
@@ -14,6 +14,7 @@
 #include "bcc/local_search.h"
 #include "bcc/mbcc.h"
 #include "bcc/online_search.h"
+#include "bcc/verify.h"
 #include "bcc/workspace.h"
 #include "eval/batch_runner.h"
 #include "eval/serve_engine.h"
@@ -173,7 +174,7 @@ TEST(PeelCounterTest, BudgetRefusalLeavesChiExactAndRecountResyncs) {
   EXPECT_FALSE(pc->OnRemove(second));
   EXPECT_TRUE(pc->stale());
   // The refusal debited nothing: chi still describes the pre-refusal
-  // candidate exactly (what the mid-cascade leader re-sync relies on).
+  // candidate exactly.
   for (VertexId v : left) {
     EXPECT_EQ(pc->Chi(v), after_first.chi[v]);
   }
@@ -198,16 +199,20 @@ TEST(PeelCounterTest, WorkspacePoolingReusesCounters) {
   ws.ReleasePeelCounter(b);
 }
 
-// --- Search-level bit-identity: flag on == flag off, everywhere. ---
+// --- Search-level bit-identity: the counter (Online) == the leader pair. ---
 
-SearchOptions WithFlag(SearchOptions o, bool incremental) {
-  o.incremental_butterflies = incremental;
+// Each method runs one validity mechanism (DESIGN.md contract 8):
+// use_leader_pair picks Algorithm 7's leader pair, otherwise the delta
+// counter. Both are exact, so the same peel validated either way must delete
+// the same vertices in the same rounds.
+SearchOptions WithLeaderPair(SearchOptions o, bool leader) {
+  o.use_leader_pair = leader;
   return o;
 }
 
 class PeelCounterSearchTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PeelCounterSearchTest, FlagOnOffBitIdenticalAcrossOptionMatrix) {
+TEST_P(PeelCounterSearchTest, CounterEqualsLeaderPairAcrossOptionMatrix) {
   PlantedConfig cfg;
   cfg.num_communities = 6;
   cfg.min_group_size = 8;
@@ -221,23 +226,31 @@ TEST_P(PeelCounterSearchTest, FlagOnOffBitIdenticalAcrossOptionMatrix) {
   BccParams p{2, 2, 1};
 
   for (bool bulk : {true, false}) {
-    for (bool leader : {true, false}) {
+    for (bool fast : {true, false}) {
       SearchOptions opts;
       opts.bulk_delete = bulk;
-      opts.use_leader_pair = leader;
-      SearchStats son, soff;
-      Community on = BccSearch(pg.graph, q, p, WithFlag(opts, true), &son);
-      Community off = BccSearch(pg.graph, q, p, WithFlag(opts, false), &soff);
-      EXPECT_EQ(on.vertices, off.vertices) << "bulk=" << bulk << " leader=" << leader;
+      opts.fast_query_distance = fast;
+      SearchStats sc, sl;
+      Community online = BccSearch(pg.graph, q, p, WithLeaderPair(opts, false), &sc);
+      Community lp = BccSearch(pg.graph, q, p, WithLeaderPair(opts, true), &sl);
+      EXPECT_EQ(online.vertices, lp.vertices) << "bulk=" << bulk << " fast=" << fast;
       // Identical deletion sequence, not just identical answers.
-      EXPECT_EQ(son.rounds, soff.rounds);
-      EXPECT_EQ(son.vertices_removed, soff.vertices_removed);
-      EXPECT_EQ(soff.delta_rounds, 0u);  // the flag-off run never uses the counter
+      EXPECT_EQ(sc.rounds, sl.rounds);
+      EXPECT_EQ(sc.vertices_removed, sl.vertices_removed);
+      // The leader pair never acquires a counter; Online always validates
+      // from one.
+      EXPECT_EQ(sl.delta_rounds, 0u);
+      EXPECT_EQ(sl.delta_fallbacks, 0u);
+      EXPECT_GT(sc.delta_rounds, 0u) << "bulk=" << bulk << " fast=" << fast;
     }
   }
 }
 
 TEST_P(PeelCounterSearchTest, DeltaRoundsReplaceRecountsInOnlineMode) {
+  // Every exact Online check is either served by the counter (delta_rounds)
+  // or a full count (butterfly_counting_calls, Find-G0's included): their
+  // sum is what recounting every round would pay, and the counter must
+  // serve some of them.
   PlantedConfig cfg;
   cfg.num_communities = 6;
   cfg.min_group_size = 10;
@@ -249,16 +262,15 @@ TEST_P(PeelCounterSearchTest, DeltaRoundsReplaceRecountsInOnlineMode) {
   BccQuery q{comm.groups[0][0], comm.groups[1][0]};
   BccParams p{2, 2, 1};
 
-  SearchStats son, soff;
-  BccSearch(pg.graph, q, p, WithFlag(OnlineBccOptions(), true), &son);
-  BccSearch(pg.graph, q, p, WithFlag(OnlineBccOptions(), false), &soff);
-  if (soff.rounds > 2) {
-    EXPECT_GT(son.delta_rounds, 0u);
-    EXPECT_LT(son.butterfly_counting_calls, soff.butterfly_counting_calls);
-  }
+  SearchStats s;
+  BccSearch(pg.graph, q, p, OnlineBccOptions(), &s);
+  ASSERT_GT(s.rounds, 2u) << "peeling unexpectedly short";
+  const std::size_t exact_checks = s.delta_rounds + s.butterfly_counting_calls;
+  EXPECT_GT(s.delta_rounds, 0u);
+  EXPECT_LT(s.butterfly_counting_calls, exact_checks);
 }
 
-TEST_P(PeelCounterSearchTest, MbccFlagOnOffBitIdentical) {
+TEST_P(PeelCounterSearchTest, MbccCounterEqualsLeaderPair) {
   PlantedConfig cfg;
   cfg.num_communities = 5;
   cfg.groups_per_community = 3;
@@ -274,15 +286,20 @@ TEST_P(PeelCounterSearchTest, MbccFlagOnOffBitIdentical) {
   MbccParams p;
   p.b = 1;
 
-  for (bool leader : {true, false}) {
-    SearchOptions opts;
-    opts.use_leader_pair = leader;
-    opts.fast_query_distance = leader;
-    SearchStats son, soff;
-    Community on = MbccSearch(pg.graph, q, p, WithFlag(opts, true), &son);
-    Community off = MbccSearch(pg.graph, q, p, WithFlag(opts, false), &soff);
-    EXPECT_EQ(on.vertices, off.vertices) << "leader=" << leader;
-    EXPECT_EQ(son.rounds, soff.rounds);
+  for (bool bulk : {true, false}) {
+    for (bool fast : {true, false}) {
+      SearchOptions opts;
+      opts.bulk_delete = bulk;
+      opts.fast_query_distance = fast;
+      SearchStats sc, sl;
+      Community online = MbccSearch(pg.graph, q, p, WithLeaderPair(opts, false), &sc);
+      Community lp = MbccSearch(pg.graph, q, p, WithLeaderPair(opts, true), &sl);
+      EXPECT_EQ(online.vertices, lp.vertices) << "bulk=" << bulk << " fast=" << fast;
+      EXPECT_EQ(sc.rounds, sl.rounds);
+      EXPECT_EQ(sl.delta_rounds, 0u);
+      EXPECT_EQ(sl.delta_fallbacks, 0u);
+      EXPECT_GT(sc.delta_rounds, 0u) << "bulk=" << bulk << " fast=" << fast;
+    }
   }
 }
 
@@ -290,9 +307,11 @@ TEST_P(PeelCounterSearchTest, ApproxRoundsForceFallbackThenResync) {
   // Sweep the approx threshold across the peel trajectory: whenever it lands
   // between two checked rounds' alive counts, early rounds take the sampled
   // path (counter marked stale) and a later exact round must resync with a
-  // staleness-forced recount (delta_fallbacks). Bit-identity with the
-  // flag-off run is required at every threshold; at least one threshold in
-  // the sweep must exhibit the approx -> exact resync.
+  // staleness-forced recount (delta_fallbacks). Every answer must be a valid
+  // BCC, and at least one threshold in the sweep must exhibit the approx ->
+  // exact resync. That the resynced chi equals a recount in every round is
+  // asserted by PeelButterflyCounter::AuditAgainstRecount, live in
+  // BCCS_DCHECK builds (the dev preset).
   PlantedConfig cfg;
   cfg.num_communities = 8;
   cfg.min_group_size = 10;
@@ -307,7 +326,7 @@ TEST_P(PeelCounterSearchTest, ApproxRoundsForceFallbackThenResync) {
 
   // Probe the query once to size the sweep to its actual G0.
   SearchStats probe;
-  BccSearch(pg.graph, q, p, WithFlag(OnlineBccOptions(), true), &probe);
+  BccSearch(pg.graph, q, p, OnlineBccOptions(), &probe);
   ASSERT_GT(probe.g0_size, 8u);
 
   std::size_t total_fallbacks = 0;
@@ -320,21 +339,20 @@ TEST_P(PeelCounterSearchTest, ApproxRoundsForceFallbackThenResync) {
     opts.approx.threshold = threshold;
     opts.approx.seed = 5;
 
-    SearchStats son, soff;
-    Community on = BccSearch(pg.graph, q, p, WithFlag(opts, true), &son);
-    Community off = BccSearch(pg.graph, q, p, WithFlag(opts, false), &soff);
-    ASSERT_EQ(on.vertices, off.vertices) << "threshold=" << threshold;
-    ASSERT_EQ(son.rounds, soff.rounds) << "threshold=" << threshold;
-    total_fallbacks += son.delta_fallbacks;
-    total_approx += son.approx_checks;
+    SearchStats s;
+    Community c = BccSearch(pg.graph, q, p, opts, &s);
+    ASSERT_FALSE(c.Empty()) << "threshold=" << threshold;
+    ASSERT_EQ(VerifyBcc(pg.graph, c, q, p), BccViolation::kNone) << "threshold=" << threshold;
+    total_fallbacks += s.delta_fallbacks;
+    total_approx += s.approx_checks;
   }
   EXPECT_GT(total_approx, 0u) << "sweep never hit the sampled path";
   EXPECT_GT(total_fallbacks, 0u) << "sweep never crossed an approx -> exact boundary";
 }
 
 TEST_P(PeelCounterSearchTest, ExpiredDeadlineBitIdentical) {
-  // An already-expired deadline trips the very first check in both runs, so
-  // even the partial answers must agree.
+  // An already-expired deadline trips the very first check under either
+  // mechanism, so even the partial answers must agree.
   PlantedConfig cfg;
   cfg.num_communities = 5;
   cfg.min_group_size = 8;
@@ -348,11 +366,11 @@ TEST_P(PeelCounterSearchTest, ExpiredDeadlineBitIdentical) {
 
   QueryWorkspace ws;
   ws.SetDeadline(Deadline::After(0));
-  SearchStats son, soff;
-  Community on = BccSearch(pg.graph, q, p, WithFlag(OnlineBccOptions(), true), &son, &ws);
-  Community off = BccSearch(pg.graph, q, p, WithFlag(OnlineBccOptions(), false), &soff, &ws);
-  EXPECT_EQ(on.vertices, off.vertices);
-  EXPECT_EQ(son.timed_out, soff.timed_out);
+  SearchStats sc, sl;
+  Community online = BccSearch(pg.graph, q, p, OnlineBccOptions(), &sc, &ws);
+  Community lp = BccSearch(pg.graph, q, p, LpBccOptions(), &sl, &ws);
+  EXPECT_EQ(online.vertices, lp.vertices);
+  EXPECT_EQ(sc.timed_out, sl.timed_out);
   ws.SetDeadline(Deadline());
 }
 

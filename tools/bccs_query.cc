@@ -6,9 +6,8 @@
 //
 // The query enters through the unified ServeEngine (eval/serve_engine.h)
 // as one request on one worker. The engine flags (--method, --k1, --k2,
-// --b, --deadline-ms, --approx-samples, --approx-threshold, --cache-bytes,
-// --no-incremental-butterflies) are shared with bccs_serve and documented
-// in tools/engine_flags.h.
+// --b, --deadline-ms, --approx-samples, --approx-threshold, --cache-bytes)
+// are shared with bccs_serve and documented in tools/engine_flags.h.
 //
 // Index snapshots (see tools/bccs_build and graph/snapshot.h):
 //   bccs_query --index-file g.snap ...

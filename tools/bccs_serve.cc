@@ -10,8 +10,8 @@
 //              [--fsync none|on-rotation|every-append] [--segment-blocks N]
 //              [--compact-threshold N]
 //              [engine flags: --method, --k1, --k2, --b, --deadline-ms,
-//               --approx-samples, --approx-threshold, --cache-bytes,
-//               --no-incremental-butterflies; see tools/engine_flags.h]
+//               --approx-samples, --approx-threshold, --cache-bytes;
+//               see tools/engine_flags.h]
 //
 // This is the ServeEngine streaming loop end to end: each line is parsed
 // and admitted into the engine's AdmissionQueue while the worker pool is

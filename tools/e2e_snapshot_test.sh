@@ -6,10 +6,10 @@
 # engine flags both tools share (tools/engine_flags.h) validate strictly in
 # both (bad values and ids or k's that do not fit 32 bits exit 2 with a
 # reason) and behave (mixed-lane streams report per-lane percentiles and
-# qps, approx streams are deterministic across thread counts, and
-# --no-incremental-butterflies answers bit-identically to the default
-# incremental-counter runs across methods and thread counts); that
-# bccs_query's removed batch flags are unknown; and that the dynamic update
+# qps, approx streams are deterministic across thread counts, and the two
+# per-round validity mechanisms — Online's delta counter and LP's leader
+# pair — stream bit-identical answers across thread counts); that removed
+# flags are unknown to both tools; and that the dynamic update
 # flow works: bccs_update appends to the snapshot's changelog, which
 # bccs_query replays (build -> update -> query-from-replayed-snapshot ==
 # query-from-updated-text-graph), --updates-file applies a batch
@@ -152,6 +152,8 @@ for cmd in query serve; do
     || fail "bccs_$cmd --approx-threshold alone failed"
   grep -q "no effect without --approx-samples" "$tmp/thresh.err" \
     || fail "bccs_$cmd did not warn about --approx-threshold alone"
+  # The per-round validity mechanism follows the method; no flag picks it.
+  expect_reject "unknown flag" "${tool[@]}" --no-incremental-butterflies
   unset -n tool
 done
 
@@ -208,29 +210,18 @@ approx_2="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
   --method online --approx-samples 256 --approx-threshold 1 | grep -q 'approx_checks=[1-9]' \
   || fail "approx stream never took the sampled path"
 
-# --- Incremental butterfly maintenance: --no-incremental-butterflies --------
+# --- Per-round validity: the delta counter (online) == the leader pair (lp) -
 
-# Flag matrix: for each method and thread count the answers with the
-# incremental counter (the default) must equal the per-round-recount run.
-for m in lp online; do
-  for t in 1 2; do
-    inc="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
-      --threads "$t" --method "$m")"
-    rec="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
-      --threads "$t" --method "$m" --no-incremental-butterflies)"
-    [ -n "$inc" ] || fail "no batch output (method $m, threads $t)"
-    [ "$inc" = "$rec" ] \
-      || fail "--no-incremental-butterflies changed answers (method $m, threads $t)"
-  done
+# Both mechanisms are exact, so for each thread count the Online stream
+# (delta counter) must answer exactly like the LP stream (leader pair).
+for t in 1 2; do
+  online="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+    --threads "$t" --method online)"
+  lp="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
+    --threads "$t" --method lp)"
+  [ -n "$online" ] || fail "no batch output (threads $t)"
+  [ "$online" = "$lp" ] || fail "online and lp answers differ (threads $t)"
 done
-
-# Approx rounds mark the counter stale mid-query (forced fallback recounts);
-# the answers still must not depend on the flag.
-approx_rec="$(serve_items --graph "$tmp/g.txt" --stream "$tmp/lanes.txt" \
-  --threads 2 --method online --approx-samples 64 --approx-threshold 1 \
-  --no-incremental-butterflies)"
-[ "$approx_2" = "$approx_rec" ] \
-  || fail "--no-incremental-butterflies changed answers under approx rounds"
 
 # Both tools print the per-phase breakdown, including the delta counter's
 # time and round counters.
@@ -389,15 +380,6 @@ cached_members="$(printf '%s\n' "$cached_out" \
   || fail "cached streamed answer differs: $cached_members vs $serve_members"
 printf '%s\n' "$cached_out" | grep -q "^cache: result " \
   || fail "cached bccs_serve printed no cache summary"
-
-# bccs_serve takes the flag matrix too: a per-round-recount serve run must
-# stream the same answers as the default incremental run above.
-norec_out="$("$bin/bccs_serve" --graph "$tmp/g.txt" --stream "$tmp/stream.txt" \
-  --no-incremental-butterflies)" || fail "bccs_serve --no-incremental-butterflies failed"
-norec_members="$(printf '%s\n' "$norec_out" \
-  | sed -n 's/^\[2\].*-> \([0-9]*\) members.*/\1/p')"
-[ "$norec_members" = "$serve_members" ] \
-  || fail "--no-incremental-butterflies changed streamed answers: $norec_members vs $serve_members"
 
 # --- Socket front-end: bccs_serve --listen -----------------------------------
 

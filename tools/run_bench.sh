@@ -10,8 +10,8 @@
 # sustained QPS and client-observed interactive p95 vs the in-process
 # baseline; this script fails if any wire response differs byte-for-byte
 # from the in-process answer), the updates block, the recovery block, and
-# the peeling block (the incremental butterfly counter vs per-round
-# recounts; this script fails if the answers are not bit-identical) —
+# the peeling block (Online's delta butterfly counter vs LP's leader pair;
+# this script fails if the answers are not bit-identical) —
 # see BENCH_PR9.json for the lineage — plus a check_overhead block: the serving block is re-run from a
 # second build configured with -DBCCS_STRIP_CHECKS=ON (BCCS_CHECK compiled
 # out) and the two warm wall times are compared, best of $RUNS runs each,
@@ -77,14 +77,14 @@ if not caching["block_cache"]["identical_to_unbounded"]:
 if not bench["network"]["identical_to_in_process"]:
     sys.exit("network: wire responses differ from in-process answers")
 
-# And for the incremental peel counter: maintained chi must yield exactly
-# the communities a per-round recount yields, and it must actually replace
-# recounts (fewer full counting calls than the flag-off run).
+# And for the per-round validity mechanisms: Online's delta counter must
+# yield exactly the communities LP's leader pair yields, and it must actually
+# replace recounts (fewer full counting calls than Online's exact checks).
 peeling = bench["peeling"]
-if not peeling["identical_to_recount"]:
-    sys.exit("peeling: incremental-counter answers differ from recount")
-if peeling["incremental_counting_calls"] >= peeling["recount_counting_calls"]:
-    sys.exit("peeling: incremental counter did not reduce counting calls")
+if not peeling["identical_to_leader_pair"]:
+    sys.exit("peeling: delta-counter answers differ from the leader pair")
+if peeling["online_counting_calls"] >= peeling["online_exact_checks"]:
+    sys.exit("peeling: delta counter did not reduce counting calls")
 
 bench["check_overhead"] = {
     "serving_wall_seconds_checks_on": on,
