@@ -140,7 +140,8 @@ inline std::size_t EffectiveSampleCount(const ApproxOptions& o, std::size_t aliv
 struct SearchOptions {
   /// Remove the whole farthest batch per round instead of a single vertex.
   bool bulk_delete = true;
-  /// Algorithm 5 incremental query-distance maintenance.
+  /// Incremental query-distance maintenance (the role of Algorithm 5): a
+  /// decremental BFS repair per round instead of a full BFS.
   bool fast_query_distance = false;
   /// Selects how each peel round is validated (DESIGN.md contract 8). On:
   /// the leader pair of Algorithms 6 + 7, debiting only the two leaders per

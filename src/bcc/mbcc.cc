@@ -428,9 +428,7 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
       if (opts.fast_query_distance) {
         for (std::size_t i = 0; i < m; ++i) {
           UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist[i], &changed);
-          for (VertexId v : changed) {
-            if (cand.IsAlive(v)) queue.Update(v, query_distance(v));
-          }
+          for (VertexId v : changed) queue.Update(v, query_distance(v));
         }
       } else {
         for (std::size_t i = 0; i < m; ++i) {

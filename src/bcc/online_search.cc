@@ -279,10 +279,10 @@ Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q
         UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist_l, &changed_l);
         UpdateDistancesAfterDeletion(g, cand.alive(), removed, dist_r, &changed_r);
         for (VertexId v : changed_l) {
-          if (cand.IsAlive(v)) queue.Update(v, QueryDistance(dist_l->Get(v), dist_r->Get(v)));
+          queue.Update(v, QueryDistance(dist_l->Get(v), dist_r->Get(v)));
         }
         for (VertexId v : changed_r) {
-          if (cand.IsAlive(v)) queue.Update(v, QueryDistance(dist_l->Get(v), dist_r->Get(v)));
+          queue.Update(v, QueryDistance(dist_l->Get(v), dist_r->Get(v)));
         }
       } else {
         BfsDistances(g, cand.alive(), q.ql, dist_l);

@@ -16,30 +16,34 @@ namespace bccs {
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                   std::vector<std::uint32_t>* dist);
 
-/// Workspace variant: starts a fresh epoch on `dm` (O(touched) of the
-/// previous use) and fills it with the same distances, maintaining the
-/// per-level buckets the incremental repair and the peel queue consume.
+/// Workspace variant: starts a fresh epoch on `dm` and fills it with the
+/// same distances. Costs O(edges of the reached vertices); no O(n) work
+/// once the map has been sized.
 void BfsDistances(const LabeledGraph& g, const std::vector<char>& alive, VertexId source,
                   DistanceMap* dm);
 
-/// Paper's Algorithm 5: incrementally repairs `dist` (distances to one query
-/// vertex) after the vertices in `removed` were deleted. `alive` must already
-/// reflect the deletion; `dist` must hold the pre-deletion values (including
-/// for the removed vertices themselves, which are used to derive d_min).
+/// Repairs `dm` (distances to one source) after the vertices in `removed`
+/// were deleted: a decremental BFS that touches only the vertices whose
+/// distance may change. `alive` must already reflect the deletion; `dm` must
+/// hold the pre-deletion distances, the removed vertices' included, and
+/// every earlier deletion must have gone through this repair.
 ///
-/// Only vertices with dist > d_min can change, and they can only move
-/// farther; they are re-reached by a multi-source BFS from the unchanged
-/// d_min level set. Unreached vertices become kInfDistance.
-void UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vector<char>& alive,
-                                  std::span<const VertexId> removed,
-                                  std::vector<std::uint32_t>* dist);
-
-/// Bucketed workspace variant: finds the stale set {v alive : dist(v) >
-/// d_min} by walking the distance buckets above d_min instead of scanning
-/// all n vertices, so a repair costs O(vertices at distance > d_min + edges
-/// re-traversed). Every vertex whose distance may have changed (the stale
-/// set) is appended to `changed` (cleared first); the removed vertices
-/// themselves are not reported. Values are identical to the legacy variant.
+/// Support rule: an alive vertex at distance d > 0 keeps d iff it has an
+/// alive neighbour at d-1 that kept its own distance. Phase 1 applies the
+/// rule level by level, starting from the removed vertices' children and
+/// stopping each neighbour scan at the first support; a vertex without
+/// support is dropped, and its children become candidates. Phase 2 re-reaches
+/// the dropped set with a bucket queue seeded from the kept neighbours;
+/// dropped vertices it cannot reach become kInfDistance.
+///
+/// `changed` (cleared first) is exactly the dropped set: every alive vertex
+/// whose distance changed, each once, and no other vertex. The removed
+/// vertices become kInfDistance and are not reported.
+///
+/// Cost: O(degrees of the removed, candidate and dropped vertices), plus
+/// O(1) per distance level spanned. The paper's Algorithm 5 instead resets
+/// and re-reaches every vertex deeper than the shallowest removed one; both
+/// compute the BFS distances of the surviving graph, so answers are the same.
 void UpdateDistancesAfterDeletion(const LabeledGraph& g, const std::vector<char>& alive,
                                   std::span<const VertexId> removed, DistanceMap* dm,
                                   std::vector<VertexId>* changed);

@@ -122,30 +122,28 @@ class ScratchPool {
   std::uint64_t acquires_ = 0;
 };
 
-/// Epoch-stamped single-source distance array with per-level buckets.
+/// Epoch-stamped single-source distance array.
 ///
-/// Reset() starts a new epoch in O(1) on the stamp array (plus clearing the
-/// buckets used by the previous query, O(entries pushed)); entries whose
-/// stamp is stale read as kInfDistance. Every finite Set(v, d) also queues v
-/// in bucket d, which is what lets the Algorithm 5 repair find the stale set
-/// {v : dist(v) > d_min} in time proportional to its size instead of
-/// scanning all n vertices.
+/// Reset() starts a new epoch in O(1); entries whose stamp is stale read as
+/// kInfDistance. The map also carries the scratch that BfsDistances and the
+/// deletion repair (query_distance.h) work in: per-level worklists, left
+/// empty between calls, and a per-vertex mark, left all zero. Both are
+/// restored over what a call touched, so only a Reset() that grows the map
+/// costs O(n).
 class DistanceMap {
  public:
   void Reset(std::size_t n) {
-    if (dist_.size() < n) {
+    if (slots_.size() < n) {
       ++bulk_inits_;
-      dist_.resize(n, 0);
-      stamp_.resize(n, 0);
+      slots_.resize(n, Slot{});
+      mark_.resize(n, 0);
     }
-    for (std::uint32_t d = 0; d < buckets_.size() && d <= max_level_; ++d) buckets_[d].clear();
-    max_level_ = 0;
     if (++epoch_ == 0) {
       // Stamp wrap-around: without this bulk re-init, entries stamped in the
       // old epoch 0 would read as fresh again. The O(n) fill is counted as a
       // bulk init (it happens once per 2^32 resets).
       ++bulk_inits_;
-      std::fill(stamp_.begin(), stamp_.end(), 0);
+      std::fill(slots_.begin(), slots_.end(), Slot{});
       epoch_ = 1;
     }
     ++resets_;
@@ -155,43 +153,36 @@ class DistanceMap {
   /// the uint32 wrap path.
   void ForceEpochWrapForTest() { epoch_ = std::numeric_limits<std::uint32_t>::max(); }
 
-  std::uint32_t Get(VertexId v) const { return stamp_[v] == epoch_ ? dist_[v] : kInfDistance; }
-
-  void Set(VertexId v, std::uint32_t d) {
-    stamp_[v] = epoch_;
-    dist_[v] = d;
-    if (d == kInfDistance) return;
-    if (d >= buckets_.size()) buckets_.resize(d + 1);
-    buckets_[d].push_back(v);
-    if (d > max_level_) max_level_ = d;
+  std::uint32_t Get(VertexId v) const {
+    return slots_[v].stamp == epoch_ ? slots_[v].dist : kInfDistance;
   }
 
-  void SetUnreachable(VertexId v) {
-    stamp_[v] = epoch_;
-    dist_[v] = kInfDistance;
-  }
+  void Set(VertexId v, std::uint32_t d) { slots_[v] = Slot{epoch_, d}; }
+  void SetUnreachable(VertexId v) { Set(v, kInfDistance); }
 
-  /// Highest bucket index that may hold live entries this epoch.
-  std::uint32_t max_level() const { return max_level_; }
-  /// Shrinks the live-level bound after a repair emptied the upper levels.
-  void set_max_level(std::uint32_t d) { max_level_ = d; }
-
-  /// Vertices ever assigned distance `d` this epoch (may contain stale
-  /// entries for vertices that have since moved; validate with Get).
-  std::vector<VertexId>& bucket(std::uint32_t d) {
-    if (d >= buckets_.size()) buckets_.resize(d + 1);
-    return buckets_[d];
+  /// Scratch worklist for distance level `d` (grows the level array, so
+  /// fetch the highest level first when holding several references).
+  std::vector<VertexId>& Worklist(std::uint32_t d) {
+    if (d >= worklists_.size()) worklists_.resize(d + 1);
+    return worklists_[d];
   }
+  /// Scratch per-vertex mark, sized by Reset().
+  std::vector<char>& Marks() { return mark_; }
 
   std::uint64_t bulk_inits() const { return bulk_inits_; }
   std::uint64_t resets() const { return resets_; }
 
  private:
+  // Stamp and value side by side: one cache line per lookup.
+  struct Slot {
+    std::uint32_t stamp = 0;
+    std::uint32_t dist = 0;
+  };
+
   std::uint32_t epoch_ = 0;
-  std::uint32_t max_level_ = 0;
-  std::vector<std::uint32_t> dist_;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::vector<VertexId>> buckets_;
+  std::vector<Slot> slots_;
+  std::vector<char> mark_;
+  std::vector<std::vector<VertexId>> worklists_;
   std::uint64_t bulk_inits_ = 0;
   std::uint64_t resets_ = 0;
 };

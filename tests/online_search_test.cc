@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bcc/mbcc.h"
 #include "bcc/query_distance.h"
 #include "bcc/verify.h"
 #include "graph/generators.h"
@@ -198,6 +199,45 @@ TEST(OnlineSearchTest, AdjacentQueriesSmallCommunity) {
   EXPECT_TRUE(c.Contains(f.v5));
   EXPECT_TRUE(c.Contains(f.u3));
   EXPECT_EQ(VerifyBcc(f.graph, c, q, p), BccViolation::kNone);
+}
+
+TEST(OnlineSearchTest, DistanceRepairIdenticalToFullBfsOnDeepPeel) {
+  // A planted graph whose LP peel runs 15+ rounds: the incremental distance
+  // repair and a full BFS every round must give the same members and the
+  // same round count, for LP-BCC and for LP-mBCC.
+  PlantedConfig cfg;
+  cfg.num_communities = 150;
+  cfg.groups_per_community = 3;
+  cfg.num_labels = 3;
+  cfg.min_group_size = 8;
+  cfg.max_group_size = 14;
+  cfg.background_vertices = 300;
+  cfg.noise_same_fraction = 0.04;
+  cfg.seed = 7;
+  PlantedGraph pg = GeneratePlanted(cfg);
+  const PlantedCommunity& comm = pg.communities[0];
+  SearchOptions repair = LpBccOptions();
+  ASSERT_TRUE(repair.fast_query_distance);
+  SearchOptions full_bfs = repair;
+  full_bfs.fast_query_distance = false;
+
+  BccQuery q{comm.groups[0][0], comm.groups[1][0]};
+  SearchStats s_repair, s_full;
+  Community a = BccSearch(pg.graph, q, BccParams{}, repair, &s_repair);
+  Community b = BccSearch(pg.graph, q, BccParams{}, full_bfs, &s_full);
+  EXPECT_GE(s_repair.rounds, 15u);
+  EXPECT_FALSE(a.Empty());
+  EXPECT_EQ(a.vertices, b.vertices);
+  EXPECT_EQ(s_repair.rounds, s_full.rounds);
+
+  MbccQuery mq{{comm.groups[0][0], comm.groups[1][0], comm.groups[2][0]}};
+  SearchStats m_repair, m_full;
+  Community ma = MbccSearch(pg.graph, mq, MbccParams{}, repair, &m_repair);
+  Community mb = MbccSearch(pg.graph, mq, MbccParams{}, full_bfs, &m_full);
+  EXPECT_GE(m_repair.rounds, 15u);
+  EXPECT_FALSE(ma.Empty());
+  EXPECT_EQ(ma.vertices, mb.vertices);
+  EXPECT_EQ(m_repair.rounds, m_full.rounds);
 }
 
 }  // namespace

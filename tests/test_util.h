@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "bcc/bc_index.h"
+#include "bcc/query_distance.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs::testing {
@@ -116,6 +117,36 @@ inline std::vector<std::uint64_t> NaiveButterflies(const LabeledGraph& g,
     }
   }
   return chi;
+}
+
+/// Deletes `batch` from `alive`, repairs `dm` (distances to `source`) with
+/// UpdateDistancesAfterDeletion and checks the repair's whole contract: the
+/// map equals a fresh BFS of the surviving graph, `changed` is exactly the
+/// alive vertices whose distance moved, each once, and the repair did no
+/// O(n) work. Call under ASSERT_NO_FATAL_FAILURE.
+inline void DeleteAndCheckRepair(const LabeledGraph& g, VertexId source,
+                                 const std::vector<VertexId>& batch, std::vector<char>* alive,
+                                 DistanceMap* dm) {
+  const std::size_t n = g.NumVertices();
+  std::vector<std::uint32_t> before(n);
+  for (VertexId v = 0; v < n; ++v) before[v] = dm->Get(v);
+  for (VertexId v : batch) (*alive)[v] = 0;
+  const std::uint64_t inits = dm->bulk_inits();
+  std::vector<VertexId> changed;
+  UpdateDistancesAfterDeletion(g, *alive, batch, dm, &changed);
+  ASSERT_EQ(dm->bulk_inits(), inits) << "the repair grew or refilled the map";
+
+  std::vector<std::uint32_t> fresh;
+  BfsDistances(g, *alive, source, &fresh);
+  std::vector<VertexId> moved;
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(dm->Get(v), fresh[v]) << "vertex " << v;
+    if ((*alive)[v] && before[v] != fresh[v]) moved.push_back(v);
+  }
+  std::sort(changed.begin(), changed.end());
+  ASSERT_EQ(std::adjacent_find(changed.begin(), changed.end()), changed.end())
+      << "changed lists a vertex twice";
+  ASSERT_EQ(changed, moved);
 }
 
 /// The acceptance check: the repaired index must be bit-identical to a

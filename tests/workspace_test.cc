@@ -51,16 +51,12 @@ TEST(DistanceMapTest, MatchesLegacyBfs) {
   DistanceMap dm;
   BfsDistances(g, alive, 1, &dm);
   EXPECT_EQ(Materialize(dm, 6), legacy);
-  // Bucket sanity: level sets match the distances.
-  for (std::uint32_t d = 0; d <= dm.max_level(); ++d) {
-    for (VertexId v : dm.bucket(d)) EXPECT_EQ(dm.Get(v), d);
-  }
 }
 
 TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
-  // The issue's equivalence requirement: after every deletion batch, the
-  // bucketed incremental repair must equal both the legacy repair and a
-  // fresh BFS over the surviving subgraph.
+  // After every deletion batch the repaired map must equal a fresh BFS over
+  // the surviving subgraph, and `changed` must be exactly the alive vertices
+  // whose distance moved (the engine requeues only those).
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     LabeledGraph g = MakeRandomGraph(60, 0.08, 2, seed);
     const std::size_t n = g.NumVertices();
@@ -74,7 +70,6 @@ TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
     BfsDistances(g, alive, source, &dm);
     ASSERT_EQ(Materialize(dm, n), legacy);
 
-    std::vector<VertexId> changed;
     for (int round = 0; round < 12; ++round) {
       // Random non-source deletion batch of 1-4 alive vertices.
       std::vector<VertexId> batch;
@@ -84,23 +79,8 @@ TEST(DistanceMapTest, RandomizedIncrementalEqualsFreshBfs) {
         if (std::find(batch.begin(), batch.end(), v) == batch.end()) batch.push_back(v);
       }
       if (batch.empty()) break;
-      for (VertexId v : batch) alive[v] = 0;
-
-      UpdateDistancesAfterDeletion(g, alive, batch, &legacy);
-      UpdateDistancesAfterDeletion(g, alive, batch, &dm, &changed);
-      ASSERT_EQ(Materialize(dm, n), legacy) << "seed " << seed << " round " << round;
-
-      std::vector<std::uint32_t> fresh;
-      BfsDistances(g, alive, source, &fresh);
-      ASSERT_EQ(Materialize(dm, n), fresh) << "seed " << seed << " round " << round;
-
-      // The changed list must cover every vertex whose value differs from
-      // the previous round (the engine relies on this for queue updates).
-      // It may conservatively include vertices repaired back to the same
-      // value; both are fine — verified implicitly by the engine tests.
-      for (VertexId v : changed) {
-        EXPECT_TRUE(alive[v]);
-      }
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " round " << round);
+      ASSERT_NO_FATAL_FAILURE(testing::DeleteAndCheckRepair(g, source, batch, &alive, &dm));
     }
   }
 }
