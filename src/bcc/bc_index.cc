@@ -5,20 +5,12 @@
 #include <utility>
 
 #include "butterfly/butterfly_update.h"
-#include "core/core_decomposition.h"
-#include "core/core_maintenance.h"
 #include "graph/graph_delta.h"
 
 namespace bccs {
 
-BcIndex::BcIndex(const LabeledGraph& g) : g_(&g), label_coreness_(LabelCoreness(g)) {
-  std::vector<std::uint32_t> max_core(g.NumLabels(), 0);
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    auto& best = max_core[g.LabelOf(v)];
-    best = std::max(best, label_coreness_[v]);
-  }
-  max_core_per_label_ = std::move(max_core);
-}
+BcIndex::BcIndex(const LabeledGraph& g)
+    : g_(&g), coreness_(std::make_shared<const LabelCorenessTable>(g)) {}
 
 namespace {
 
@@ -79,28 +71,29 @@ BlockCacheStats BcIndex::PairCacheStats() const { return pair_cache_.Stats(); }
 
 namespace {
 
-/// One label's (or one pair's) slice of the delta.
+/// One label pair's slice of the delta.
 struct EdgeBucket {
   std::vector<Edge> inserts;
   std::vector<Edge> deletes;
 };
 
-/// Splits the delta into per-label intra-label buckets (they repair
-/// coreness) and per-pair cross-label buckets (they repair cached
-/// butterflies) — the two effects are disjoint by construction: coreness is
-/// computed within a label group, pair butterflies over cross edges only.
-void BucketDelta(const LabeledGraph& g, const GraphDelta& delta,
-                 std::map<Label, EdgeBucket>* intra,
-                 std::map<std::pair<Label, Label>, EdgeBucket>* cross) {
-  auto route = [&](const Edge& e, bool insert) {
-    const Label a = g.LabelOf(e.u);
-    const Label b = g.LabelOf(e.v);
-    EdgeBucket& bucket =
-        a == b ? (*intra)[a] : (*cross)[std::minmax(a, b)];
-    (insert ? bucket.inserts : bucket.deletes).push_back(e);
-  };
-  for (const Edge& e : delta.inserts) route(e, true);
-  for (const Edge& e : delta.deletes) route(e, false);
+/// Per-pair cross-label buckets of the delta (they repair cached
+/// butterflies). Intra-label edges are the coreness table's business:
+/// coreness is computed within a label group, pair butterflies over cross
+/// edges only.
+std::map<std::pair<Label, Label>, EdgeBucket> CrossBuckets(const LabeledGraph& g,
+                                                            const GraphDelta& delta) {
+  std::map<std::pair<Label, Label>, EdgeBucket> cross;
+  for (const auto* edges : {&delta.inserts, &delta.deletes}) {
+    for (const Edge& e : *edges) {
+      const Label a = g.LabelOf(e.u);
+      const Label b = g.LabelOf(e.v);
+      if (a == b) continue;
+      EdgeBucket& bucket = cross[std::minmax(a, b)];
+      (edges == &delta.inserts ? bucket.inserts : bucket.deletes).push_back(e);
+    }
+  }
+  return cross;
 }
 
 }  // namespace
@@ -113,31 +106,10 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   UpdateRepairStats& st = stats != nullptr ? *stats : local;
   st = UpdateRepairStats{};
 
-  std::map<Label, EdgeBucket> intra;
-  std::map<std::pair<Label, Label>, EdgeBucket> cross;
-  BucketDelta(*g_, delta, &intra, &cross);
-
-  // Coreness: copy, then patch only the touched labels.
-  std::vector<std::uint32_t> coreness(label_coreness_.begin(), label_coreness_.end());
-  std::vector<std::uint32_t> max_core(max_core_per_label_.begin(),
-                                      max_core_per_label_.end());
-  for (const auto& [label, bucket] : intra) {
-    ++st.labels_touched;
-    const auto members = updated.VerticesWithLabel(label);
-    const LabelCorenessRepair repair =
-        RepairLabelCoreness(updated, members, bucket.inserts, bucket.deletes,
-                            opts.label_incremental_cap, &coreness);
-    repair.rebuilt ? ++st.labels_rebuilt : ++st.labels_incremental;
-    st.core_passes += repair.passes;
-    std::uint32_t best = 0;
-    for (VertexId v : members) best = std::max(best, coreness[v]);
-    max_core[label] = best;
-  }
-
   std::unique_ptr<BcIndex> out(new BcIndex());
   out->g_ = &updated;
-  out->label_coreness_ = std::move(coreness);
-  out->max_core_per_label_ = std::move(max_core);
+  out->coreness_ =
+      coreness_->ApplyUpdates(updated, delta, opts.label_incremental_cap, &st);
 
   // Pair cache: carry every resident block into the new index's cache, then
   // patch only the touched cached pairs. Untouched blocks are shared by
@@ -149,6 +121,7 @@ std::unique_ptr<BcIndex> BcIndex::ApplyUpdates(const LabeledGraph& updated,
   // survive the epoch swap.
   out->pair_cache_.SetBudget(pair_cache_.budget());
   out->pair_cache_.CarryCountersFrom(pair_cache_);
+  const auto cross = CrossBuckets(*g_, delta);
   for (const auto& entry : pair_cache_.Entries()) {
     const auto key = std::make_pair(entry.a, entry.b);
     auto it = cross.find(key);

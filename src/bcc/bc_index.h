@@ -9,6 +9,7 @@
 
 #include "butterfly/block_cache.h"
 #include "butterfly/butterfly_counting.h"
+#include "core/label_coreness.h"
 #include "graph/labeled_graph.h"
 
 namespace bccs {
@@ -30,12 +31,9 @@ struct UpdateRepairOptions {
   std::size_t pair_incremental_cap = 8;
 };
 
-/// What BcIndex::ApplyUpdates did, for observability and tests.
-struct UpdateRepairStats {
-  std::size_t labels_touched = 0;      // labels with intra-label updates
-  std::size_t labels_incremental = 0;  // repaired by level passes
-  std::size_t labels_rebuilt = 0;      // scoped SubsetCoreness rebuild
-  std::size_t core_passes = 0;         // level passes across all labels
+/// What BcIndex::ApplyUpdates did, for observability and tests: the
+/// coreness table's per-label repair plus the pair cache's.
+struct UpdateRepairStats : LabelCorenessRepairStats {
   std::size_t pairs_touched = 0;       // cached pairs with cross updates
   std::size_t pairs_incremental = 0;   // repaired edge-by-edge
   std::size_t pairs_recounted = 0;     // scoped CountButterflies recount
@@ -44,9 +42,10 @@ struct UpdateRepairStats {
 
 /// The offline butterfly-core index of Section 6.3.
 ///
-/// Stores, for every vertex, its coreness within its own label group (the
-/// delta(v) component) and, per label pair, the butterfly degrees over the
-/// full bipartite graph between the two label groups (the chi(v) component).
+/// Holds, for every vertex, its coreness within its own label group (the
+/// delta(v) component, a shared LabelCorenessTable) and, per label pair, the
+/// butterfly degrees over the full bipartite graph between the two label
+/// groups (the chi(v) component).
 /// The butterfly component is computed lazily on first use of a label pair
 /// and cached, which keeps construction linear for graphs with hundreds of
 /// labels while preserving exact per-pair query-time semantics (documented
@@ -56,8 +55,8 @@ struct UpdateRepairStats {
 /// const (the lazy pair cache is logically immutable state behind a sharded
 /// block cache), so one index instance — freshly built or reconstructed from
 /// a snapshot — can serve every worker thread of a BatchRunner. The coreness
-/// arrays live in ArrayRef storage so a snapshot load keeps them as
-/// zero-copy views over the mapped file.
+/// table is shared by pointer: the serve engine pins the same table into
+/// each query of the index's epoch.
 ///
 /// The pair cache is a ButterflyBlockCache: materialized and snapshot-loaded
 /// pairs are pinned (never evicted), while lazily faulted pairs live under
@@ -71,10 +70,14 @@ class BcIndex {
   explicit BcIndex(const LabeledGraph& g);
 
   /// Coreness of v within its own label group.
-  std::uint32_t Coreness(VertexId v) const { return label_coreness_[v]; }
+  std::uint32_t Coreness(VertexId v) const { return coreness_->Coreness(v); }
 
   /// Maximum coreness within a label group.
-  std::uint32_t MaxCoreness(Label l) const { return max_core_per_label_[l]; }
+  std::uint32_t MaxCoreness(Label l) const { return coreness_->MaxCoreness(l); }
+
+  /// The coreness component itself, shared with whoever serves this
+  /// index's epoch.
+  const std::shared_ptr<const LabelCorenessTable>& coreness_table() const { return coreness_; }
 
   /// Butterfly degrees over the full bipartite graph between label groups
   /// `a` and `b`. Cached after the first call for the pair. Thread-safe:
@@ -141,12 +144,11 @@ class BcIndex {
   ///
   /// The repaired index answers every query bit-identically to a freshly
   /// built BcIndex(updated): intra-label updates repair only their label's
-  /// coreness (core/core_maintenance.h level passes driving KCoreMaintainer,
-  /// scoped rebuild past the cap), cross-label updates repair only their
-  /// pair's cached butterfly entry (butterfly/butterfly_update.h per-edge
-  /// repair, scoped recount past the cap); untouched labels, pairs, and
-  /// pairs not yet cached (they fault in lazily against the new graph) cost
-  /// nothing beyond the copy.
+  /// coreness (LabelCorenessTable::ApplyUpdates), cross-label updates repair
+  /// only their pair's cached butterfly entry (butterfly/butterfly_update.h
+  /// per-edge repair, scoped recount past the cap); untouched labels, pairs,
+  /// and pairs not yet cached (they fault in lazily against the new graph)
+  /// cost nothing beyond the copy.
   std::unique_ptr<BcIndex> ApplyUpdates(const LabeledGraph& updated, const GraphDelta& delta,
                                         const UpdateRepairOptions& opts = {},
                                         UpdateRepairStats* stats = nullptr) const;
@@ -160,8 +162,7 @@ class BcIndex {
   BcIndex() = default;  // snapshot loading only
 
   const LabeledGraph* g_ = nullptr;
-  ArrayRef<std::uint32_t> label_coreness_;
-  ArrayRef<std::uint32_t> max_core_per_label_;
+  std::shared_ptr<const LabelCorenessTable> coreness_;
   mutable ButterflyBlockCache pair_cache_;
 };
 

@@ -4,26 +4,61 @@
 #include <memory>
 
 #include "core/core_decomposition.h"
+#include "core/label_coreness.h"
 #include "eval/timer.h"
 
 namespace bccs {
 namespace {
 
-// Vertices of the query's label group, optionally intersected with a
-// restriction mask; the filtered copy goes into a pooled scratch vector.
-std::span<const VertexId> LabelCandidates(const LabeledGraph& g, VertexId q,
-                                          const std::vector<char>* restrict_to,
+// Vertices of `q`'s label group enabled in `restrict_to`, into a pooled
+// scratch vector.
+std::span<const VertexId> RestrictedGroup(const LabeledGraph& g, VertexId q,
+                                          const std::vector<char>& restrict_to,
                                           std::vector<VertexId>* scratch) {
-  std::span<const VertexId> all = g.VerticesWithLabel(g.LabelOf(q));
-  if (restrict_to == nullptr) return all;
   scratch->clear();
-  for (VertexId v : all) {
-    if ((*restrict_to)[v]) scratch->push_back(v);
+  for (VertexId v : g.VerticesWithLabel(g.LabelOf(q))) {
+    if (restrict_to[v]) scratch->push_back(v);
   }
   return *scratch;
 }
 
 }  // namespace
+
+std::uint32_t ResolveSideCore(const LabeledGraph& g, VertexId q, std::uint32_t k,
+                              const std::vector<char>* restrict_to, QueryWorkspace* ws) {
+  if (k > 0) return k;
+  if (restrict_to == nullptr) {
+    if (const LabelCorenessTable* table = ws->label_coreness()) return table->Coreness(q);
+    return SubsetCorenessOfScoped(g, g.VerticesWithLabel(g.LabelOf(q)), q,
+                                  &ws->core_scratch());
+  }
+  std::vector<VertexId>* scratch = ws->AcquireIdVec();
+  const std::uint32_t core = SubsetCorenessOfScoped(
+      g, RestrictedGroup(g, q, *restrict_to, scratch), q, &ws->core_scratch());
+  ws->ReleaseIdVec(scratch);
+  return core;
+}
+
+void SideCoreComponent(const LabeledGraph& g, VertexId q, std::uint32_t k,
+                       const std::vector<char>* restrict_to, QueryWorkspace* ws,
+                       std::vector<VertexId>* out) {
+  CoreScratch& cs = ws->core_scratch();
+  if (restrict_to == nullptr) {
+    if (const LabelCorenessTable* table = ws->label_coreness()) {
+      LabelCoreComponent(g, *table, q, k, &cs, out);
+      return;
+    }
+  }
+  std::vector<VertexId>* scratch = ws->AcquireIdVec();
+  std::vector<VertexId>* core = ws->AcquireIdVec();
+  const std::span<const VertexId> group =
+      restrict_to == nullptr ? g.VerticesWithLabel(g.LabelOf(q))
+                             : RestrictedGroup(g, q, *restrict_to, scratch);
+  KCoreOfSubsetScoped(g, group, k, &cs, core);
+  ComponentContainingScoped(g, *core, q, &cs, out);
+  ws->ReleaseIdVec(core);
+  ws->ReleaseIdVec(scratch);
+}
 
 G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                           const std::vector<char>* restrict_to, SearchStats* stats,
@@ -45,41 +80,15 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
     active_ws = scoped_ws.get();
   }
 
-  std::vector<VertexId>* scratch_left = active_ws->AcquireIdVec();
-  std::vector<VertexId>* scratch_right = active_ws->AcquireIdVec();
-  std::span<const VertexId> cand_left = LabelCandidates(g, q.ql, restrict_to, scratch_left);
-  std::span<const VertexId> cand_right = LabelCandidates(g, q.qr, restrict_to, scratch_right);
-  auto release_scratch = [&] {
-    active_ws->ReleaseIdVec(scratch_left);
-    active_ws->ReleaseIdVec(scratch_right);
-  };
-  if (cand_left.empty() || cand_right.empty()) {
-    release_scratch();
-    return out;
-  }
-
   // Resolve auto core parameters with the query coreness inside its group
   // (paper Section 3.5).
-  out.k1 = p.k1;
-  out.k2 = p.k2;
-  CoreScratch& cs = active_ws->core_scratch();
-  if (out.k1 == 0) out.k1 = SubsetCorenessOfScoped(g, cand_left, q.ql, &cs);
-  if (out.k2 == 0) out.k2 = SubsetCorenessOfScoped(g, cand_right, q.qr, &cs);
-  if (out.k1 == 0 || out.k2 == 0) {
-    release_scratch();
-    return out;  // queries have no usable core
-  }
+  out.k1 = ResolveSideCore(g, q.ql, p.k1, restrict_to, active_ws);
+  out.k2 = ResolveSideCore(g, q.qr, p.k2, restrict_to, active_ws);
+  if (out.k1 == 0 || out.k2 == 0) return out;  // queries have no usable core
 
   // Left and right cores, restricted to the component containing the query.
-  std::vector<VertexId>* core = active_ws->AcquireIdVec();
-  KCoreOfSubsetScoped(g, cand_left, out.k1, &cs, core);
-  ComponentContainingScoped(g, *core, q.ql, &cs, &out.left);
-  if (!out.left.empty()) {
-    KCoreOfSubsetScoped(g, cand_right, out.k2, &cs, core);
-    ComponentContainingScoped(g, *core, q.qr, &cs, &out.right);
-  }
-  active_ws->ReleaseIdVec(core);
-  release_scratch();
+  SideCoreComponent(g, q.ql, out.k1, restrict_to, active_ws, &out.left);
+  if (!out.left.empty()) SideCoreComponent(g, q.qr, out.k2, restrict_to, active_ws, &out.right);
   if (out.left.empty() || out.right.empty()) {
     out.left.clear();
     out.right.clear();

@@ -26,9 +26,28 @@ struct G0Result {
   std::uint32_t k2 = 0;
 };
 
-/// Algorithm 2 on the whole graph. Increments
-/// stats->butterfly_counting_calls and accumulates stats->butterfly_seconds
-/// for the embedded Algorithm 3 run. `stats` may be null.
+/// Algorithm 2: per side, the connected component containing the query
+/// vertex of its label group's k-core (k resolved to the query's coreness
+/// within its group when the parameter is 0, paper Section 3.5), then the
+/// butterfly check (Algorithm 3) over the cross edges between the two
+/// sides. Increments stats->butterfly_counting_calls and accumulates
+/// stats->butterfly_seconds for the Algorithm 3 run. `stats` may be null.
+///
+/// Where k-core membership comes from:
+///   - **Epoch table (the served path).** When the workspace has a
+///     LabelCorenessTable pinned (the serve engine pins its epoch's table
+///     for every query), automatic k is the table's coreness of the query
+///     vertex and each side is one BFS from it over {same label, table
+///     coreness >= k} (LabelCoreComponent): the k-core of a group is exactly
+///     its members with coreness >= k, so no peel runs per query.
+///   - **Scoped peel (everything else).** With no table pinned (direct
+///     library calls: tests, tools, offline oracles) each side runs a
+///     bucket peel for automatic k (SubsetCorenessOfScoped) and another for
+///     the k-core (KCoreOfSubsetScoped) before the component BFS. The two
+///     sources give identical sides; the serve-engine identity tests assert
+///     it.
+///
+/// Both produce sides sorted ascending.
 ///
 /// With a workspace, the core/component/butterfly scratch comes from its
 /// pools and `counts.chi` of the result is a pooled buffer — the caller
@@ -38,10 +57,31 @@ G0Result FindG0(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                 SearchStats* stats, QueryWorkspace* ws = nullptr);
 
 /// Algorithm 2 restricted to the vertices enabled in `restrict_to` (the L2P
-/// local candidate G_t). Pass null for no restriction.
+/// local candidate G_t). Pass null for no restriction. A restricted search
+/// always takes the scoped peel, even with a table pinned: coreness inside
+/// the candidate is not the label coreness (the candidate drops
+/// neighbours), so neither automatic k nor k-core membership can be read
+/// from the table.
 G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                           const std::vector<char>* restrict_to, SearchStats* stats,
                           QueryWorkspace* ws = nullptr);
+
+/// One side's core parameter: `k` when nonzero, else the coreness of `q`
+/// within its label group (intersected with `restrict_to` when non-null).
+/// Reads the workspace's pinned table when unrestricted, else peels. 0 means
+/// q has no usable core. `ws` must not be null. MbccSearch and
+/// ResolveMbccCores resolve each group through this too.
+std::uint32_t ResolveSideCore(const LabeledGraph& g, VertexId q, std::uint32_t k,
+                              const std::vector<char>* restrict_to, QueryWorkspace* ws);
+
+/// One side of G0: the component containing `q` of the k-core of q's label
+/// group (intersected with `restrict_to` when non-null), sorted ascending
+/// into `out`; empty when q is outside that k-core. One BFS over the pinned
+/// table when unrestricted, else a scoped k-core peel plus the component
+/// BFS. `ws` must not be null.
+void SideCoreComponent(const LabeledGraph& g, VertexId q, std::uint32_t k,
+                       const std::vector<char>* restrict_to, QueryWorkspace* ws,
+                       std::vector<VertexId>* out);
 
 /// Returns a workspace-pooled `g0->counts.chi` buffer to the pool (no-op for
 /// results produced without a workspace). `g0->left` / `g0->right` must

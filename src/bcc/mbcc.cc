@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "bcc/candidate.h"
+#include "bcc/find_g0.h"
 #include "bcc/leader_pair.h"
 #include "bcc/query_distance.h"
 #include "butterfly/approx_counting.h"
@@ -11,7 +12,6 @@
 #include "butterfly/butterfly_update.h"
 #include "butterfly/peel_counter.h"
 #include "common/check.h"
-#include "core/core_decomposition.h"
 #include "eval/timer.h"
 #include "graph/union_find.h"
 
@@ -36,17 +36,15 @@ struct PairState {
 
 std::vector<std::uint32_t> ResolveMbccCores(const LabeledGraph& g, const MbccQuery& q,
                                             const MbccParams& p, QueryWorkspace* ws) {
+  std::unique_ptr<QueryWorkspace> scoped_ws;
+  if (ws == nullptr) {
+    scoped_ws = std::make_unique<QueryWorkspace>();
+    ws = scoped_ws.get();
+  }
   const std::size_t m = q.vertices.size();
   std::vector<std::uint32_t> ks(m, 0);
   for (std::size_t i = 0; i < m; ++i) {
-    if (i < p.k.size() && p.k[i] > 0) {
-      ks[i] = p.k[i];
-    } else {
-      auto members = g.VerticesWithLabel(g.LabelOf(q.vertices[i]));
-      ks[i] = ws != nullptr
-                  ? SubsetCorenessOfScoped(g, members, q.vertices[i], &ws->core_scratch())
-                  : SubsetCoreness(g, members)[q.vertices[i]];
-    }
+    ks[i] = ResolveSideCore(g, q.vertices[i], i < p.k.size() ? p.k[i] : 0, nullptr, ws);
   }
   return ks;
 }
@@ -81,38 +79,19 @@ Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams
   const Deadline& deadline = ws->deadline();
   const Deadline* cascade_deadline = deadline.unlimited() ? nullptr : &deadline;
 
-  // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components. ---
+  // --- Find G0 (Algorithm 9 line 1): per-group k_i-core components
+  // (find_g0.h: from the pinned epoch table when unrestricted). ---
   std::vector<std::vector<VertexId>> groups(m);
   std::vector<std::uint32_t> ks(m, 0);
   {
     ScopedAccumulator t(&stats->find_g0_seconds);
-    std::vector<VertexId>* filtered = ws->AcquireIdVec();
-    std::vector<VertexId>* core = ws->AcquireIdVec();
     bool dead_end = false;
     for (std::size_t i = 0; i < m && !dead_end; ++i) {
-      std::span<const VertexId> members = g.VerticesWithLabel(g.LabelOf(q.vertices[i]));
-      if (restrict_to != nullptr) {
-        filtered->clear();
-        for (VertexId v : members) {
-          if ((*restrict_to)[v]) filtered->push_back(v);
-        }
-        members = *filtered;
-      }
-      if (i < p.k.size() && p.k[i] > 0) {
-        ks[i] = p.k[i];
-      } else {
-        ks[i] = SubsetCorenessOfScoped(g, members, q.vertices[i], &ws->core_scratch());
-      }
-      if (ks[i] == 0) {
-        dead_end = true;
-        break;
-      }
-      KCoreOfSubsetScoped(g, members, ks[i], &ws->core_scratch(), core);
-      ComponentContainingScoped(g, *core, q.vertices[i], &ws->core_scratch(), &groups[i]);
-      if (groups[i].empty()) dead_end = true;
+      const VertexId qi = q.vertices[i];
+      ks[i] = ResolveSideCore(g, qi, i < p.k.size() ? p.k[i] : 0, restrict_to, ws);
+      if (ks[i] > 0) SideCoreComponent(g, qi, ks[i], restrict_to, ws, &groups[i]);
+      dead_end = groups[i].empty();
     }
-    ws->ReleaseIdVec(filtered);
-    ws->ReleaseIdVec(core);
     if (dead_end) {
       stats->total_seconds += total.Seconds();
       return out;

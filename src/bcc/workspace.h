@@ -15,6 +15,7 @@
 
 namespace bccs {
 
+class LabelCorenessTable;
 class PeelButterflyCounter;
 
 /// Distance value for unreachable vertices. (Historically defined in
@@ -389,6 +390,14 @@ class QueryWorkspace {
   void SetDeadline(Deadline d) { deadline_ = d; }
   const Deadline& deadline() const { return deadline_; }
 
+  /// The epoch's label-coreness table, pinned by the serving engine for one
+  /// query and cleared (null) afterwards, like the deadline. It must
+  /// describe the graph the query runs on. Unrestricted Find-G0 reads
+  /// automatic k and k-core membership from it instead of peeling; null
+  /// means peel (direct library calls).
+  void PinLabelCoreness(const LabelCorenessTable* table) { label_coreness_ = table; }
+  const LabelCorenessTable* label_coreness() const { return label_coreness_; }
+
   WorkspaceStats Stats() const;
 
  private:
@@ -415,6 +424,7 @@ class QueryWorkspace {
   std::vector<std::unique_ptr<PeelButterflyCounter>> peel_counter_used_;
 
   Deadline deadline_;
+  const LabelCorenessTable* label_coreness_ = nullptr;
   std::uint64_t local_bulk_inits_ = 0;
 };
 

@@ -149,14 +149,6 @@ ValidationResult ValidateGraph(const LabeledGraph& g) {
   return ValidationResult::Ok();
 }
 
-std::size_t ValidateAccess::CorenessSize(const BcIndex& index) {
-  return index.label_coreness_.size();
-}
-
-std::size_t ValidateAccess::MaxCoreSize(const BcIndex& index) {
-  return index.max_core_per_label_.size();
-}
-
 LabeledGraph ValidateAccess::RawGraph(std::vector<std::uint64_t> offsets,
                                       std::vector<VertexId> adjacency,
                                       std::vector<Label> labels,
@@ -185,8 +177,8 @@ std::unique_ptr<BcIndex> ValidateAccess::RawIndex(
     std::vector<std::uint32_t> max_core_per_label) {
   std::unique_ptr<BcIndex> index(new BcIndex());
   index->g_ = &g;
-  index->label_coreness_ = std::move(label_coreness);
-  index->max_core_per_label_ = std::move(max_core_per_label);
+  index->coreness_ = std::make_shared<const LabelCorenessTable>(std::move(label_coreness),
+                                                                std::move(max_core_per_label));
   return index;
 }
 
@@ -197,28 +189,26 @@ void ValidateAccess::SetCachedPair(BcIndex& index, Label a, Label b,
   index.pair_cache_.Insert(a, b, std::move(counts), /*pin=*/false);
 }
 
-ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
-  const LabeledGraph& g = index.graph();
+ValidationResult ValidateLabelCoreness(const LabeledGraph& g, const LabelCorenessTable& table) {
   const std::size_t n = g.NumVertices();
-  if (ValidateAccess::CorenessSize(index) != n) {
-    return ValidationResult::Fail(
-        "coreness array has " + std::to_string(ValidateAccess::CorenessSize(index)) +
-        " entries, want one per vertex (" + std::to_string(n) + ")");
+  if (table.coreness().size() != n) {
+    return ValidationResult::Fail("coreness array has " +
+                                  std::to_string(table.coreness().size()) +
+                                  " entries, want one per vertex (" + std::to_string(n) + ")");
   }
-  if (ValidateAccess::MaxCoreSize(index) != g.NumLabels()) {
+  if (table.max_per_label().size() != g.NumLabels()) {
     return ValidationResult::Fail(
-        "per-label max-coreness array has " +
-        std::to_string(ValidateAccess::MaxCoreSize(index)) + " entries, want one per label (" +
-        std::to_string(g.NumLabels()) + ")");
+        "per-label max-coreness array has " + std::to_string(table.max_per_label().size()) +
+        " entries, want one per label (" + std::to_string(g.NumLabels()) + ")");
   }
 
   // Coreness is cheap to recompute exactly (O(V + E) bucket peeling), so the
   // audit compares every vertex rather than sampling.
   const std::vector<std::uint32_t> want = LabelCoreness(g);
   for (VertexId v = 0; v < n; ++v) {
-    if (index.Coreness(v) != want[v]) {
+    if (table.Coreness(v) != want[v]) {
       return ValidationResult::Fail("coreness mismatch at vertex " + VertexStr(v) +
-                                    ": stored " + std::to_string(index.Coreness(v)) +
+                                    ": stored " + std::to_string(table.Coreness(v)) +
                                     ", recomputed " + std::to_string(want[v]));
     }
   }
@@ -227,11 +217,20 @@ ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
     want_max[g.LabelOf(v)] = std::max(want_max[g.LabelOf(v)], want[v]);
   }
   for (Label l = 0; l < g.NumLabels(); ++l) {
-    if (index.MaxCoreness(l) != want_max[l]) {
+    if (table.MaxCoreness(l) != want_max[l]) {
       return ValidationResult::Fail("max coreness of label " + std::to_string(l) +
-                                    ": stored " + std::to_string(index.MaxCoreness(l)) +
+                                    ": stored " + std::to_string(table.MaxCoreness(l)) +
                                     ", recomputed " + std::to_string(want_max[l]));
     }
+  }
+  return ValidationResult::Ok();
+}
+
+ValidationResult ValidateIndex(const BcIndex& index, std::size_t sample_pairs) {
+  const LabeledGraph& g = index.graph();
+  const std::size_t n = g.NumVertices();
+  if (ValidationResult core = ValidateLabelCoreness(g, *index.coreness_table()); !core.ok) {
+    return core;
   }
 
   // Pair cache: accounting counters, shape of every entry, exact recount on

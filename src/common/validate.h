@@ -14,6 +14,7 @@
 namespace bccs {
 
 class BcIndex;
+class LabelCorenessTable;
 struct ButterflyCounts;
 
 /// Outcome of a deep structural audit. `reason` names the first violated
@@ -37,9 +38,14 @@ struct ValidationResult {
 /// graph that fails it can crash or silently mis-answer.
 ValidationResult ValidateGraph(const LabeledGraph& g);
 
-/// BcIndex consistency against its graph: array shapes, stored label
-/// coreness equal to an exact recomputation (LabelCoreness), per-label
-/// maxima, canonical in-range pair-cache keys, and — for up to
+/// A label-coreness table against the graph it describes: one entry per
+/// vertex and per label, every stored coreness equal to an exact
+/// recomputation (LabelCoreness), and every per-label maximum. O(V + E).
+/// The serve engine DCHECKs it on every repaired epoch table.
+ValidationResult ValidateLabelCoreness(const LabeledGraph& g, const LabelCorenessTable& table);
+
+/// BcIndex consistency against its graph: its coreness table
+/// (ValidateLabelCoreness), canonical in-range pair-cache keys, and — for up to
 /// `sample_pairs` cached pairs, spread deterministically over the cache —
 /// cached butterfly counts equal to an exact recount. 0 samples skips the
 /// recount (shape and coreness checks still run).
@@ -102,9 +108,6 @@ class ValidateAccess {
   static std::span<const VertexId> LabelMembers(const LabeledGraph& g) {
     return g.label_members_.span();
   }
-
-  static std::size_t CorenessSize(const BcIndex& index);
-  static std::size_t MaxCoreSize(const BcIndex& index);
 
   /// Builds a graph from raw CSR arrays with no normalization — the test
   /// seam for seeding corruptions FromEdges would repair.

@@ -155,23 +155,19 @@ struct StreamState {
 
 ServeEngine::ServeEngine(BatchRunner& runner, const LabeledGraph& g, const BcIndex* index,
                          ServeOptions opts)
-    : runner_(&runner), opts_(std::move(opts)) {
-  current_.graph = Unowned(&g);
-  current_.index = index != nullptr ? Unowned(index) : nullptr;
-  current_.epoch = 1;
-  if (opts_.result_cache_entries > 0) {
-    result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_entries);
-  }
-  if (opts_.pair_cache_bytes > 0 && current_.index != nullptr) {
-    current_.index->SetPairCacheBudget(opts_.pair_cache_bytes);
-  }
-}
+    : ServeEngine(runner, Unowned(&g), index != nullptr ? Unowned(index) : nullptr,
+                  std::move(opts)) {}
 
 ServeEngine::ServeEngine(BatchRunner& runner, std::shared_ptr<const LabeledGraph> g,
                          std::shared_ptr<const BcIndex> index, ServeOptions opts)
     : runner_(&runner), opts_(std::move(opts)) {
   current_.graph = std::move(g);
   current_.index = std::move(index);
+  // With an index the epoch shares its coreness table; without one, one
+  // LabelCoreness pass builds it.
+  current_.coreness = current_.index != nullptr
+                          ? current_.index->coreness_table()
+                          : std::make_shared<const LabelCorenessTable>(*current_.graph);
   current_.epoch = 1;
   if (opts_.result_cache_entries > 0) {
     result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_entries);
@@ -315,11 +311,24 @@ ServeEngine::EpochState ServeEngine::PrepareUpdate(const EpochState& base,
   next.epoch = base.epoch + 1;
   outcome->inserts = delta->inserts.size();
   outcome->deletes = delta->deletes.size();
+  // Repair against the pinned base graph/index/table (kept alive by the
+  // epoch history while old-epoch queries drain). Either way the coreness
+  // goes through LabelCorenessTable::ApplyUpdates: the index repairs its
+  // own table, and an index-less epoch repairs the engine's.
   if (base.index != nullptr) {
-    // Repair against the pinned base graph/index (both kept alive by the
-    // epoch history while old-epoch queries drain).
     next.index = base.index->ApplyUpdates(*next.graph, *delta, req.repair, &outcome->repair);
+    next.coreness = next.index->coreness_table();
+  } else {
+    next.coreness = base.coreness->ApplyUpdates(*next.graph, *delta,
+                                                req.repair.label_incremental_cap,
+                                                &outcome->repair);
   }
+#if BCCS_DCHECK_IS_ON
+  {
+    const ValidationResult audit = ValidateLabelCoreness(*next.graph, *next.coreness);
+    BCCS_DCHECK(audit.ok) << "repaired label coreness: " << audit.reason;
+  }
+#endif
   outcome->applied = true;
   return next;
 }
@@ -448,7 +457,9 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
         result_cache_->Lookup(cache_key, pinned.epoch, lane_idx, community, stats);
     if (!cache_hit) {
       if (req.deadline_seconds > 0) ws.SetDeadline(Deadline::After(req.deadline_seconds));
+      ws.PinLabelCoreness(pinned.coreness.get());
       Dispatch(req, request_id, *pinned.graph, pinned.index.get(), ws, community, stats);
+      ws.PinLabelCoreness(nullptr);
       ws.SetDeadline(Deadline{});
       // Timed-out partial answers are timing-dependent, never cached (the
       // deadline gate above already excludes them; keep the belt with the
@@ -483,6 +494,9 @@ void ServeEngine::RunWorker(StreamState& state, QueryWorkspace& ws) {
       c.community = community;
       c.stats = stats;
       done(c);
+      // The callback consumed the answer; keeping it until Finish would
+      // grow a long-lived stream (the socket server's) with every request.
+      std::vector<VertexId>().swap(community->vertices);
     }
   }
 }

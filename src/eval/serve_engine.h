@@ -53,17 +53,19 @@ class Changelog;
 ///      thread counts and claim orders.
 ///   5. **Execution.** The worker pins its epoch slot's state (a shared_ptr
 ///      copy — the state outlives any concurrent update publish), stamps
-///      its QueryWorkspace with the request's deadline and runs the search;
+///      its QueryWorkspace with the request's deadline and the epoch's
+///      label-coreness table, and runs the search;
 ///      an expired deadline yields the best valid partial answer with
 ///      SearchStats::timed_out set.
 ///   6. **Update preparation (copy-on-write epochs).** An UpdateRequest is
 ///      claimed by a worker as soon as the previous update has resolved and
 ///      *prepared off-thread* against its pinned base epoch — validation
 ///      (BuildGraphDelta), graph rebuild (ApplyGraphDelta), incremental
-///      index repair (BcIndex::ApplyUpdates) — while queries of older
-///      epochs keep draining on the other workers. The new state is then
-///      published with a single swap; queries admitted after the update
-///      become runnable and observe it. A rejected batch publishes the
+///      repair of the label-coreness table and of the index, when there is
+///      one (LabelCorenessTable::ApplyUpdates, BcIndex::ApplyUpdates) —
+///      while queries of older epochs keep draining on the other workers.
+///      The new state is then published with a single swap; queries
+///      admitted after the update become runnable and observe it. A rejected batch publishes the
 ///      unchanged state (epoch not incremented) and reports the reason in
 ///      its UpdateOutcome. Old epoch states are released as soon as their
 ///      last pinned query completes.
@@ -71,7 +73,9 @@ class Changelog;
 ///      returns a BatchResult with per-item outputs in admission order:
 ///      communities/stats/latency for queries, UpdateOutcomes for updates,
 ///      per-lane sojourn percentiles, and the epoch each item executed in
-///      (epoch_of).
+///      (epoch_of). A query answered through a completion callback is not
+///      kept: its Finish() community is empty (a long-lived stream would
+///      otherwise hold every answer it ever served).
 
 /// The paper's search variants as planner targets. kMbcc serves the
 /// Section 7 multi-labeled model; the other three serve two-label queries.
@@ -113,7 +117,8 @@ struct UpdateRequest {
   /// whole batch is one atomic epoch transition — it applies fully or, on a
   /// validation error, not at all.
   std::vector<EdgeUpdate> updates;
-  /// Incremental-repair fallback thresholds for BcIndex::ApplyUpdates.
+  /// Incremental-repair fallback thresholds for the coreness table and the
+  /// index (label_incremental_cap applies with or without an index).
   UpdateRepairOptions repair;
 };
 
@@ -127,8 +132,9 @@ using ServeItem = std::variant<QueryRequest, UpdateRequest>;
 /// stream is still admitting (instead of reporting everything at drain).
 ///
 /// The pointers alias the stream's result slots: they are valid for the
-/// duration of the callback (and in fact until Finish returns), but the
-/// callback must not block — it runs inside a serving worker, so a slow
+/// duration of the callback only — a query's community is freed once its
+/// callback returns, so copy what must outlive it. The callback must not
+/// block — it runs inside a serving worker, so a slow
 /// callback stalls one worker's dequeue loop.
 struct ItemCompletion {
   /// Admission index within the stream (the Finish() result slot).
@@ -233,6 +239,8 @@ class ServeEngine {
     /// Items admitted so far.
     std::size_t Submitted() const;
     /// Closes admission, waits for the drain, and collects the results.
+    /// Answers delivered through a completion callback are not kept: such a
+    /// query's `communities` slot is empty (its stats and timings remain).
     BatchResult Finish();
 
    private:
@@ -300,10 +308,16 @@ class ServeEngine {
  private:
   friend struct StreamState;
 
-  /// One published epoch: an immutable (graph, index) pair. Queries pin the
-  /// state of their admission-time slot; updates build slot u+1 from slot u.
+  /// One published epoch: an immutable graph, its label-coreness table and
+  /// an optional index. Queries pin the state of their admission-time slot;
+  /// updates build slot u+1 from slot u. `coreness` is always set: the
+  /// index's own table when there is an index, else one the engine built
+  /// (constructor) or repaired (PrepareUpdate). Workers pin it into the
+  /// query's workspace, so unrestricted Find-G0 reads automatic k and k-core
+  /// membership from it instead of peeling.
   struct EpochState {
     std::shared_ptr<const LabeledGraph> graph;
+    std::shared_ptr<const LabelCorenessTable> coreness;
     std::shared_ptr<const BcIndex> index;
     std::uint64_t epoch = 0;
   };

@@ -41,12 +41,6 @@ class SnapshotAccess {
   static std::span<const VertexId> LabelMembers(const LabeledGraph& g) {
     return g.label_members_.span();
   }
-  static std::span<const std::uint32_t> Coreness(const BcIndex& i) {
-    return i.label_coreness_.span();
-  }
-  static std::span<const std::uint32_t> MaxCorePerLabel(const BcIndex& i) {
-    return i.max_core_per_label_.span();
-  }
 
   static std::shared_ptr<const LabeledGraph> MakeGraph(
       std::span<const std::uint64_t> offsets, std::span<const VertexId> adjacency,
@@ -71,9 +65,9 @@ class SnapshotAccess {
       std::map<std::pair<Label, Label>, ButterflyCounts> pairs) {
     std::unique_ptr<BcIndex> index(new BcIndex());
     index->g_ = g;
-    index->label_coreness_ = ArrayRef<std::uint32_t>::View(coreness.data(), coreness.size());
-    index->max_core_per_label_ =
-        ArrayRef<std::uint32_t>::View(max_core.data(), max_core.size());
+    index->coreness_ = std::make_shared<const LabelCorenessTable>(
+        ArrayRef<std::uint32_t>::View(coreness.data(), coreness.size()),
+        ArrayRef<std::uint32_t>::View(max_core.data(), max_core.size()));
     // Snapshot-loaded pairs are pinned: they were materialized before the
     // save, so they stay resident regardless of any serving byte budget.
     for (auto& [key, counts] : pairs) {
@@ -384,8 +378,8 @@ bool SaveSnapshot(const BcIndex& index, const std::string& path, std::string* er
   const auto labels = SnapshotAccess::Labels(g);
   const auto label_offsets = SnapshotAccess::LabelOffsets(g);
   const auto label_members = SnapshotAccess::LabelMembers(g);
-  const auto coreness = SnapshotAccess::Coreness(index);
-  const auto max_core = SnapshotAccess::MaxCorePerLabel(index);
+  const auto coreness = index.coreness_table()->coreness();
+  const auto max_core = index.coreness_table()->max_per_label();
 
   // Collect the resident pairs up front as pinned shared_ptr blocks, in
   // sorted key order. The pins keep each block alive for the duration of the

@@ -1,8 +1,14 @@
 #include "core/core_decomposition.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/core_maintenance.h"
+#include "core/label_coreness.h"
+#include "graph/graph_delta.h"
 #include "graph/paper_graphs.h"
 #include "test_util.h"
 
@@ -110,6 +116,66 @@ TEST(LabelCorenessTest, PaperFigure1) {
   EXPECT_LT(core[f.v8], 4u);
   EXPECT_LT(core[f.u5], 3u);
 }
+
+class LabelCorenessTablePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The table's one-BFS component equals the two-peel reference (k-core of the
+// label group, then the component containing q) for every vertex and k.
+TEST_P(LabelCorenessTablePropertyTest, CoreComponentMatchesPeelThenComponent) {
+  const LabeledGraph g = MakeRandomGraph(60, 0.15, 3, GetParam() + 2000);
+  const LabelCorenessTable table(g);
+  CoreScratch scratch;
+  std::vector<VertexId> got;
+  for (VertexId q = 0; q < g.NumVertices(); ++q) {
+    const auto group = g.VerticesWithLabel(g.LabelOf(q));
+    for (std::uint32_t k = 1; k <= table.Coreness(q) + 1; ++k) {
+      LabelCoreComponent(g, table, q, k, &scratch, &got);
+      EXPECT_EQ(got, ComponentContaining(g, KCoreOfSubset(g, group, k), q))
+          << "q=" << q << " k=" << k;
+    }
+  }
+  for (char c : scratch.mask) ASSERT_EQ(c, 0);  // visited marks cleared
+}
+
+// A repaired table equals a fresh one on the updated graph, on every path:
+// incremental deletes, incremental inserts, past the cap, and mixed.
+TEST_P(LabelCorenessTablePropertyTest, ApplyUpdatesMatchesRebuild) {
+  const LabeledGraph g = MakeRandomGraph(60, 0.15, 2, GetParam() + 3000);
+  const LabelCorenessTable table(g);
+  std::vector<Edge> present = g.AllEdges();
+  std::vector<Edge> absent;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v = u + 1; v < g.NumVertices() && absent.size() < 40; ++v) {
+      if (!g.HasEdge(u, v)) absent.push_back({u, v});
+    }
+  }
+  struct Case {
+    std::size_t inserts, deletes, cap;
+  };
+  for (const Case c : {Case{0, 4, 8}, Case{4, 0, 8}, Case{0, 12, 4}, Case{3, 3, 8}}) {
+    std::vector<EdgeUpdate> batch;
+    for (std::size_t i = 0; i < c.inserts; ++i) {
+      batch.push_back({EdgeUpdateKind::kInsert, absent[(i * 7 + GetParam()) % absent.size()]});
+    }
+    for (std::size_t i = 0; i < c.deletes; ++i) {
+      batch.push_back({EdgeUpdateKind::kDelete, present[(i * 5 + GetParam()) % present.size()]});
+    }
+    std::string error;
+    const auto delta = BuildGraphDelta(g, batch, &error);
+    ASSERT_TRUE(delta.has_value()) << error;
+    const LabeledGraph updated = ApplyGraphDelta(g, *delta);
+    LabelCorenessRepairStats st;
+    const auto repaired = table.ApplyUpdates(updated, *delta, c.cap, &st);
+    const LabelCorenessTable fresh(updated);
+    EXPECT_TRUE(std::ranges::equal(repaired->coreness(), fresh.coreness()))
+        << c.inserts << "+" << c.deletes;
+    EXPECT_TRUE(std::ranges::equal(repaired->max_per_label(), fresh.max_per_label()));
+    EXPECT_EQ(st.labels_touched, st.labels_incremental + st.labels_rebuilt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LabelCorenessTablePropertyTest,
+                         ::testing::Range<std::uint64_t>(0, 6));
 
 TEST(ComponentContainingTest, Basics) {
   // Two disjoint triangles.

@@ -1,12 +1,15 @@
 #include "eval/serve_engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bcc/find_g0.h"
 #include "bcc/verify.h"
+#include "core/core_decomposition.h"
 #include "eval/query_gen.h"
 #include "graph/generators.h"
 
@@ -423,6 +426,183 @@ TEST(ServeEngineTest, ShimsRouteThroughTheEngine) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(shim.communities[i].vertices, direct.communities[i].vertices) << i;
   }
+}
+
+// --------------------------------------------------------------------------
+// Identity gate: the engine pins its epoch's label-coreness table into every
+// query, so unrestricted Find-G0 reads k and k-core membership from it. Its
+// answers and rounds must equal a direct library call with nothing pinned
+// (the scoped peels) for every method, before and after update batches.
+// --------------------------------------------------------------------------
+
+PlantedGraph MakeThreeLabelGraph() {
+  PlantedConfig cfg;
+  cfg.num_communities = 4;
+  cfg.groups_per_community = 3;
+  cfg.num_labels = 3;
+  cfg.min_group_size = 8;
+  cfg.max_group_size = 12;
+  cfg.intra_edge_prob = 0.5;
+  cfg.seed = 23;
+  return GeneratePlanted(cfg);
+}
+
+// Every method, with automatic k, a small explicit k, and an explicit k one
+// above the first query vertex's label coreness (an empty G0), against `g`.
+std::vector<QueryRequest> GateRequests(const LabeledGraph& g, const std::vector<BccQuery>& pairs,
+                                       const std::vector<MbccQuery>& groups) {
+  const std::vector<std::uint32_t> core = LabelCoreness(g);
+  std::vector<QueryRequest> out;
+  for (const BccQuery& q : pairs) {
+    const std::vector<BccParams> variants = {{0, 0, 1}, {2, 2, 1}, {core[q.ql] + 1, 0, 1}};
+    for (QueryMethod m : {QueryMethod::kOnlineBcc, QueryMethod::kLpBcc, QueryMethod::kL2pBcc}) {
+      for (const BccParams& p : variants) {
+        QueryRequest r;
+        r.query = q;
+        r.method = m;
+        r.params = p;
+        out.push_back(r);
+      }
+    }
+  }
+  for (const MbccQuery& q : groups) {
+    MbccParams above;
+    above.k = {core[q.vertices[0]] + 1};
+    MbccParams explicit_k;
+    explicit_k.k = std::vector<std::uint32_t>(q.vertices.size(), 2);
+    for (const MbccParams& p : {MbccParams{}, explicit_k, above}) {
+      QueryRequest r;
+      r.query = q;
+      r.method = QueryMethod::kMbcc;
+      r.mbcc_params = p;
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+// The same request as a direct library call: no engine, no workspace, so
+// nothing is pinned and Find-G0 peels. L2P runs on a freshly built index.
+Community DirectCall(const QueryRequest& r, const LabeledGraph& g, const BcIndex* fresh_index,
+                     const ServeOptions& o, SearchStats* st) {
+  if (r.method == QueryMethod::kMbcc) {
+    return MbccSearch(g, std::get<MbccQuery>(r.query), r.mbcc_params, o.mbcc, st);
+  }
+  const BccQuery& q = std::get<BccQuery>(r.query);
+  switch (r.method) {
+    case QueryMethod::kOnlineBcc:
+      return BccSearch(g, q, r.params, o.online, st);
+    case QueryMethod::kL2pBcc:
+      if (fresh_index != nullptr) return L2pBcc(g, *fresh_index, q, r.params, o.l2p, st);
+      return BccSearch(g, q, r.params, o.lp, st);
+    default:
+      return BccSearch(g, q, r.params, o.lp, st);
+  }
+}
+
+// Intra-label edges at `u`: present ones (to delete) or absent ones (to
+// insert), up to `count`, in vertex order.
+std::vector<Edge> IntraEdgesAt(const LabeledGraph& g, VertexId u, bool present,
+                               std::size_t count) {
+  std::vector<Edge> out;
+  for (VertexId v : g.VerticesWithLabel(g.LabelOf(u))) {
+    if (out.size() == count) break;
+    if (v == u || g.HasEdge(u, v) != present) continue;
+    out.push_back({std::min(u, v), std::max(u, v)});
+  }
+  return out;
+}
+
+UpdateRequest Batch(const std::vector<Edge>& inserts, const std::vector<Edge>& deletes,
+                    std::size_t label_cap) {
+  UpdateRequest req;
+  for (const Edge& e : inserts) req.updates.push_back({EdgeUpdateKind::kInsert, e});
+  for (const Edge& e : deletes) req.updates.push_back({EdgeUpdateKind::kDelete, e});
+  req.repair.label_incremental_cap = label_cap;
+  return req;
+}
+
+TEST(ServeEngineTest, EpochCorenessTableMatchesDirectCallsAcrossUpdates) {
+  const PlantedGraph pg = MakeThreeLabelGraph();
+  std::vector<BccQuery> pairs = SampleQueries(pg, 4);
+  std::vector<MbccQuery> groups;
+  for (const auto& gt : SampleMbccGroundTruthQueries(pg, 3, 3, 5)) groups.push_back(gt.query);
+  ASSERT_GE(pairs.size(), 2u);
+  ASSERT_FALSE(groups.empty());
+
+  // Engine A serves with an index (its table is the index's) and LP-mBCC;
+  // engine B without one (its own table) and Online mBCC.
+  ServeOptions with_index;
+  ServeOptions without_index;
+  without_index.mbcc = OnlineBccOptions();
+  BatchRunner runner(2);
+  auto graph = std::make_shared<const LabeledGraph>(pg.graph);
+  ServeEngine a(runner, graph, std::make_shared<const BcIndex>(*graph), with_index);
+  ServeEngine b(runner, graph, nullptr, without_index);
+
+  // Each batch touches one label: intra-label edges at one vertex, picked
+  // against the current graph.
+  struct Step {
+    const char* name;
+    VertexId at;
+    std::size_t inserts, deletes, label_cap;
+    bool rebuilt;  // the touched label takes the scoped rebuild
+  };
+  const std::vector<Step> steps = {
+      {"under cap: 3 deletes", pairs[0].ql, 0, 3, 8, false},
+      {"over cap: 4 inserts, cap 2", pairs[1].qr, 4, 0, 2, true},
+      {"mixed insert+delete", groups[0].vertices.back(), 2, 2, 8, true},
+  };
+
+  std::size_t non_empty = 0, empty_above_core = 0;
+  auto check_epoch = [&](const std::string& when) {
+    for (ServeEngine* e : {&a, &b}) {
+      const LabeledGraph& g = e->graph();
+      const std::unique_ptr<const BcIndex> fresh =
+          e->index() != nullptr ? std::make_unique<const BcIndex>(g) : nullptr;
+      const std::vector<QueryRequest> requests = GateRequests(g, pairs, groups);
+      const BatchResult served = e->Serve(requests);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        SearchStats st;
+        const Community want = DirectCall(requests[i], g, fresh.get(), e->options(), &st);
+        SCOPED_TRACE(when + (e == &a ? " engine A" : " engine B") + " request " +
+                     std::to_string(i) + " method " + Name(requests[i].method));
+        EXPECT_EQ(served.communities[i].vertices, want.vertices);
+        EXPECT_EQ(served.stats[i].rounds, st.rounds);
+        EXPECT_EQ(served.stats[i].g0_size, st.g0_size);
+        non_empty += want.Empty() ? 0 : 1;
+        // The third variant of each query asks for k above its coreness.
+        if (i % 3 == 2) {
+          EXPECT_TRUE(served.communities[i].Empty());
+          EXPECT_EQ(served.stats[i].g0_size, 0u);
+          ++empty_above_core;
+        }
+      }
+    }
+  };
+
+  check_epoch("before updates:");
+  for (const Step& step : steps) {
+    const LabeledGraph& g = a.graph();
+    const UpdateRequest batch = Batch(IntraEdgesAt(g, step.at, false, step.inserts),
+                                      IntraEdgesAt(g, step.at, true, step.deletes),
+                                      step.label_cap);
+    ASSERT_EQ(batch.updates.size(), step.inserts + step.deletes) << step.name;
+    for (ServeEngine* e : {&a, &b}) {
+      const BatchResult r = e->Serve(std::vector<ServeItem>{batch});
+      ASSERT_EQ(r.updates.size(), 1u);
+      const UpdateOutcome& out = r.updates[0];
+      ASSERT_TRUE(out.applied) << step.name << ": " << out.error;
+      // Both engines repair coreness through the same table repair.
+      EXPECT_EQ(out.repair.labels_touched, 1u) << step.name;
+      EXPECT_EQ(out.repair.labels_rebuilt, step.rebuilt ? 1u : 0u) << step.name;
+      EXPECT_EQ(out.repair.labels_incremental, step.rebuilt ? 0u : 1u) << step.name;
+    }
+    ASSERT_EQ(a.epoch(), b.epoch());
+    check_epoch(std::string("after ") + step.name + ":");
+  }
+  EXPECT_GT(non_empty, 0u);
+  EXPECT_GT(empty_above_core, 0u);
 }
 
 TEST(SummarizeLatencyTest, ZeroWallClockFallsBackToSummedSeconds) {

@@ -585,5 +585,41 @@ TEST(StreamServeTest, SequentialStreamsShareEpochState) {
   EXPECT_EQ(r2.epoch_of[0], 2u);
 }
 
+// A query answered through a completion callback is not kept until Finish
+// (a long-lived socket stream would otherwise grow with every request):
+// the callback sees the full answer, Finish an empty slot. A query submitted
+// without a callback keeps its answer.
+TEST(StreamServeTest, CallbackAnswersAreNotKeptUntilFinish) {
+  PlantedGraph pg = MakeGraph();
+  std::vector<BccQuery> queries = SampleQueries(pg, 6);
+  ASSERT_GE(queries.size(), 2u);
+
+  BatchRunner runner(2);
+  ServeEngine engine(runner, pg.graph);
+  // One slot per item; each callback writes only its own slot.
+  std::vector<std::vector<VertexId>> seen(queries.size());
+  ServeEngine::Stream stream = engine.OpenStream();
+  for (const BccQuery& bq : queries) {
+    QueryRequest q;
+    q.query = bq;
+    stream.Submit(q, [&seen](const ItemCompletion& c) { seen[c.index] = c.community->vertices; });
+  }
+  QueryRequest kept;
+  kept.query = queries[0];
+  stream.Submit(kept);
+  BatchResult res = stream.Finish();
+
+  ASSERT_EQ(res.communities.size(), queries.size() + 1);
+  std::size_t non_empty = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(seen[i], LpBcc(pg.graph, queries[i], {}).vertices) << i;
+    EXPECT_TRUE(res.communities[i].Empty()) << i;
+    non_empty += seen[i].empty() ? 0 : 1;
+  }
+  EXPECT_GT(non_empty, 0u);
+  EXPECT_EQ(res.communities.back().vertices, seen[0]);
+  EXPECT_FALSE(res.communities.back().Empty());
+}
+
 }  // namespace
 }  // namespace bccs

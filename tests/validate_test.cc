@@ -179,6 +179,20 @@ TEST(ValidateIndexTest, RejectsWrongCorenessArraySize) {
   EXPECT_NE(r.reason.find("one per vertex"), std::string::npos) << r.reason;
 }
 
+TEST(ValidateLabelCorenessTest, AcceptsBuiltAndRejectsCorruptTable) {
+  const LabeledGraph g = MakeRandomGraph(30, 0.2, 2, 5);
+  const LabelCorenessTable built(g);
+  EXPECT_TRUE(ValidateLabelCoreness(g, built).ok);
+
+  std::vector<std::uint32_t> coreness(built.coreness().begin(), built.coreness().end());
+  const std::vector<std::uint32_t> max_core(built.max_per_label().begin(),
+                                            built.max_per_label().end());
+  coreness[4] += 1;
+  const ValidationResult r = ValidateLabelCoreness(g, LabelCorenessTable(coreness, max_core));
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.reason.find("coreness mismatch at vertex 4"), std::string::npos) << r.reason;
+}
+
 TEST(ValidateIndexTest, RejectsCorruptCachedButterflies) {
   const LabeledGraph g = MakeRandomGraph(40, 0.25, 2, 13);
   BcIndex index(g);
