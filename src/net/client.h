@@ -7,10 +7,10 @@
 
 namespace bccs {
 
-/// A minimal blocking line client for the bccs wire protocol — the test and
-/// benchmark harness's view of the server (tests/net_serve_test.cc,
-/// bench/perf_smoke.cc). Deliberately primitive: one socket, blocking I/O
-/// with a receive timeout, newline framing. Not used by the server.
+/// A minimal blocking line client for the bccs wire protocol — the test
+/// harness's view of the server (tests/net_serve_test.cc). Deliberately
+/// primitive: one socket, blocking I/O with a receive timeout, newline
+/// framing. Not used by the server.
 class NetClient {
  public:
   NetClient() = default;

@@ -346,6 +346,36 @@ TEST(CacheServeTest, MixedStreamBitIdenticalToUncached) {
   EXPECT_GT(s.stale_drops + s.rejected_inserts, 0u);
 }
 
+// The hit path is really taken: one query asked N times on an unchanged
+// epoch by one worker is executed once and served from the cache N-1 times,
+// whatever its lane and request id (neither is part of the key).
+TEST(CacheServeTest, RepeatedQueryOnOneEpochMissesOnce) {
+  PlantedGraph pg = MakeGraph();
+  std::vector<BccQuery> queries = SampleQueries(pg, 1);
+  ASSERT_FALSE(queries.empty());
+
+  constexpr std::size_t kRepeats = 16;
+  std::vector<QueryRequest> requests(kRepeats);
+  for (std::size_t i = 0; i < kRepeats; ++i) {
+    requests[i].query = queries[0];
+    requests[i].method = QueryMethod::kLpBcc;
+    requests[i].lane = i % 2 == 0 ? Lane::kInteractive : Lane::kBulk;
+    requests[i].request_id = i + 1;
+  }
+  BatchRunner runner(1);
+  ServeOptions opts;
+  opts.result_cache_entries = 16;
+  ServeEngine engine(runner, pg.graph, nullptr, opts);
+  BatchResult result = engine.Serve(requests);
+
+  const ResultCacheStats s = result.result_cache;
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, kRepeats - 1);
+  for (const Community& c : result.communities) {
+    EXPECT_EQ(c.vertices, result.communities[0].vertices);
+  }
+}
+
 // An update whose labels are disjoint from a cached entry's labels must NOT
 // invalidate it: the re-asked query is a hit, served at the new epoch, with
 // the pre-update (== post-update, for this query) answer.

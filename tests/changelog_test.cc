@@ -1,8 +1,9 @@
 // Rotated-changelog durability tests: append/rotate/scan round trips
 // (effective source stamp, replay bit-identical to a fresh index build,
 // rejection of a record that does not apply), per-byte torn-tail recovery, hard rejection of non-tail corruption,
-// compaction folds (including crash idempotency via leftover stale
-// segments and temp files), and the serve engine's durable-ack contract
+// compaction folds (an exact index that answers like the replayed changelog,
+// and crash idempotency via leftover stale segments and temp files), and the
+// serve engine's durable-ack contract
 // through AttachDurability.
 
 #include "graph/changelog.h"
@@ -65,6 +66,29 @@ void ExpectSameGraph(const LabeledGraph& a, const LabeledGraph& b) {
     ASSERT_EQ(na.size(), nb.size()) << "vertex " << v;
     EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin())) << "vertex " << v;
   }
+}
+
+// Every cross-label pair served as LP and as L2P over one loaded bundle.
+// With an index the engine pins the bundle's coreness table into both
+// methods, so the answers read everything a snapshot carries.
+std::vector<Community> ServeAllPairs(const SnapshotBundle& bundle) {
+  const LabeledGraph& g = *bundle.graph;
+  const auto n = static_cast<VertexId>(g.NumVertices());
+  std::vector<QueryRequest> requests;
+  for (VertexId ql = 0; ql < n; ++ql) {
+    for (VertexId qr = ql + 1; qr < n; ++qr) {
+      if (g.LabelOf(ql) == g.LabelOf(qr)) continue;
+      for (QueryMethod m : {QueryMethod::kLpBcc, QueryMethod::kL2pBcc}) {
+        QueryRequest req;
+        req.query = BccQuery{ql, qr};
+        req.method = m;
+        requests.push_back(req);
+      }
+    }
+  }
+  BatchRunner runner(1);
+  ServeEngine engine(runner, g, bundle.index.get());
+  return engine.Serve(requests).communities;
 }
 
 class ChangelogTest : public ::testing::Test {
@@ -427,6 +451,12 @@ TEST_F(ChangelogTest, CompactionFoldsAndStaysIdempotentAcrossCrashes) {
   EXPECT_FALSE(folded);
   EXPECT_TRUE(fs::exists(SegmentPath(1)));
 
+  // The pre-fold recovery state: the base plus both segments replayed.
+  auto replayed = LoadSnapshot(path_, &error);
+  ASSERT_TRUE(replayed.has_value()) << error;
+  ASSERT_EQ(replayed->replayed_updates, 2u);
+  const std::vector<Community> replayed_answers = ServeAllPairs(*replayed);
+
   // Keep copies of the sealed segments to resurrect after the fold — the
   // on-disk picture of a crash BETWEEN the rename and the segment drop.
   const std::string keep1 = SegmentPath(1) + ".keep";
@@ -447,6 +477,18 @@ TEST_F(ChangelogTest, CompactionFoldsAndStaysIdempotentAcrossCrashes) {
   EXPECT_EQ(loaded->base_changelog_seq, 2u);
   EXPECT_EQ(loaded->replayed_updates, 0u);
   ExpectSameGraph(*loaded->graph, folded_graph);
+  ExpectIndexMatchesFreshBuild(*loaded->index, folded_graph, "folded base");
+
+  // Recovery is exact: the folded base answers LP and L2P exactly like the
+  // replayed changelog it replaced.
+  const std::vector<Community> folded_answers = ServeAllPairs(*loaded);
+  ASSERT_EQ(folded_answers.size(), replayed_answers.size());
+  std::size_t non_empty = 0;
+  for (std::size_t i = 0; i < folded_answers.size(); ++i) {
+    EXPECT_EQ(folded_answers[i].vertices, replayed_answers[i].vertices) << "request " << i;
+    non_empty += folded_answers[i].Empty() ? 0 : 1;
+  }
+  EXPECT_GT(non_empty, 0u);
 
   // Crash idempotency: stale segments (seq <= watermark) plus a leftover
   // compaction temp file are swept on the next open, and the recovered

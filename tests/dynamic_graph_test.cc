@@ -290,6 +290,52 @@ TEST(DynamicIndexTest, FallbackThresholdCrossing) {
   EXPECT_EQ(s2.pairs_recounted, 0u);
 }
 
+// A small mixed batch (8 updates: intra- and cross-label, inserts and
+// deletes, no label with both) stays on the incremental path under the
+// default caps — no label rebuilt, no pair recounted — and still matches the
+// rebuild. That path is what makes a streamed update cheaper than
+// rebuilding the index.
+TEST(DynamicIndexTest, SmallMixedBatchRepairsWithoutRebuilds) {
+  PlantedGraph pg = SmallPlanted(28);
+  const LabeledGraph& g = pg.graph;
+  std::mt19937_64 rng(28);
+  std::vector<Edge> edges = g.AllEdges();
+  std::shuffle(edges.begin(), edges.end(), rng);
+
+  // Two deletes inside label 0 and two across labels; two inserts inside
+  // label 1 and two across labels.
+  std::vector<EdgeUpdate> updates;
+  std::size_t intra_deletes = 0, cross_deletes = 0;
+  for (const Edge& e : edges) {
+    const bool intra = g.LabelOf(e.u) == g.LabelOf(e.v);
+    std::size_t& taken = intra ? intra_deletes : cross_deletes;
+    if (taken == 2 || (intra && g.LabelOf(e.u) != 0)) continue;
+    updates.push_back({EdgeUpdateKind::kDelete, e});
+    ++taken;
+  }
+  std::uniform_int_distribution<VertexId> pick(0, static_cast<VertexId>(g.NumVertices() - 1));
+  std::set<std::pair<VertexId, VertexId>> inserted;
+  std::size_t intra_inserts = 0, cross_inserts = 0;
+  while (intra_inserts + cross_inserts < 4) {
+    VertexId u = pick(rng), v = pick(rng);
+    if (u == v || g.HasEdge(u, v)) continue;
+    if (u > v) std::swap(u, v);
+    const bool intra = g.LabelOf(u) == g.LabelOf(v);
+    std::size_t& taken = intra ? intra_inserts : cross_inserts;
+    if (taken == 2 || (intra && g.LabelOf(u) != 1)) continue;
+    if (!inserted.insert({u, v}).second) continue;
+    updates.push_back({EdgeUpdateKind::kInsert, {u, v}});
+    ++taken;
+  }
+  ASSERT_EQ(updates.size(), 8u);
+
+  const UpdateRepairStats s = RepairAndCheck(g, updates, {}, "small mixed");
+  EXPECT_EQ(s.labels_touched, 2u);
+  EXPECT_EQ(s.labels_rebuilt, 0u);
+  EXPECT_EQ(s.pairs_recounted, 0u);
+  EXPECT_GT(s.pairs_incremental, 0u);
+}
+
 TEST(DynamicIndexTest, UncachedPairsFaultInAgainstUpdatedGraph) {
   std::mt19937_64 rng(26);
   LabeledGraph g = MakeRandomGraph(36, 0.15, 3, 600);
