@@ -80,19 +80,26 @@ G0Result FindG0Restricted(const LabeledGraph& g, const BccQuery& q, const BccPar
     active_ws = scoped_ws.get();
   }
 
-  // Resolve auto core parameters with the query coreness inside its group
-  // (paper Section 3.5).
-  out.k1 = ResolveSideCore(g, q.ql, p.k1, restrict_to, active_ws);
-  out.k2 = ResolveSideCore(g, q.qr, p.k2, restrict_to, active_ws);
-  if (out.k1 == 0 || out.k2 == 0) return out;  // queries have no usable core
+  {
+    // The core phase is billed to find_g0_seconds, the butterfly check
+    // below to butterfly_seconds only, so the two never overlap.
+    ScopedAccumulator t(&stats->find_g0_seconds);
+    // Resolve auto core parameters with the query coreness inside its group
+    // (paper Section 3.5).
+    out.k1 = ResolveSideCore(g, q.ql, p.k1, restrict_to, active_ws);
+    out.k2 = ResolveSideCore(g, q.qr, p.k2, restrict_to, active_ws);
+    if (out.k1 == 0 || out.k2 == 0) return out;  // queries have no usable core
 
-  // Left and right cores, restricted to the component containing the query.
-  SideCoreComponent(g, q.ql, out.k1, restrict_to, active_ws, &out.left);
-  if (!out.left.empty()) SideCoreComponent(g, q.qr, out.k2, restrict_to, active_ws, &out.right);
-  if (out.left.empty() || out.right.empty()) {
-    out.left.clear();
-    out.right.clear();
-    return out;
+    // Left and right cores, restricted to the component containing the query.
+    SideCoreComponent(g, q.ql, out.k1, restrict_to, active_ws, &out.left);
+    if (!out.left.empty()) {
+      SideCoreComponent(g, q.qr, out.k2, restrict_to, active_ws, &out.right);
+    }
+    if (out.left.empty() || out.right.empty()) {
+      out.left.clear();
+      out.right.clear();
+      return out;
+    }
   }
 
   // Butterfly check over B = cross edges between the two cores.

@@ -30,8 +30,10 @@ struct G0Result {
 /// vertex of its label group's k-core (k resolved to the query's coreness
 /// within its group when the parameter is 0, paper Section 3.5), then the
 /// butterfly check (Algorithm 3) over the cross edges between the two
-/// sides. Increments stats->butterfly_counting_calls and accumulates
-/// stats->butterfly_seconds for the Algorithm 3 run. `stats` may be null.
+/// sides. Increments stats->butterfly_counting_calls; accumulates the core
+/// phase into stats->find_g0_seconds and the Algorithm 3 run into
+/// stats->butterfly_seconds only, so the two timers never overlap. `stats`
+/// may be null.
 ///
 /// Where k-core membership comes from:
 ///   - **Epoch table (the served path).** When the workspace has a

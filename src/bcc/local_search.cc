@@ -196,11 +196,7 @@ Community L2pBcc(const LabeledGraph& g, const BcIndex& index, const BccQuery& q,
     // contains every admissible vertex reachable from the path.
     const bool saturated = ExpandCandidate(g, path, eta, admissible, &in_gt, selected_list);
 
-    G0Result g0;
-    {
-      ScopedAccumulator t(&stats->find_g0_seconds);
-      g0 = FindG0Restricted(g, q, p, &in_gt, stats, ws);
-    }
+    G0Result g0 = FindG0Restricted(g, q, p, &in_gt, stats, ws);
     const bool found = g0.found;
     if (found) out = PeelToBcc(g, g0, q, opts.search, p.b, stats, ws);
     ReleaseG0Counts(ws, &g0);

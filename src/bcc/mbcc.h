@@ -35,9 +35,9 @@ struct MbccParams {
 /// enabled vertices (used by the L2P local extension); auto core parameters
 /// then resolve within the restriction.
 ///
-/// Like PeelToBcc, the engine runs on an epoch-stamped workspace (bucketed
-/// farthest-vertex queue, pooled scratch); pass a warm `ws` for
-/// allocation-free steady-state execution, or nullptr for a scoped one.
+/// After the per-group cores, the search is PeelGroups (peel.h), which
+/// counts every label pair and peels; pass a warm `ws` for allocation-free
+/// steady-state execution, or nullptr for a scoped one.
 Community MbccSearch(const LabeledGraph& g, const MbccQuery& q, const MbccParams& p,
                      const SearchOptions& opts, SearchStats* stats = nullptr,
                      const std::vector<char>* restrict_to = nullptr,

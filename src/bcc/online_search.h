@@ -7,27 +7,15 @@
 
 namespace bccs {
 
-/// The shared greedy peeling engine (paper's Algorithm 1 plus the Section 6
-/// accelerations): starting from G0, repeatedly removes the farthest
-/// vertex/batch from the queries, maintains the (k1, k2, b)-BCC structure
-/// (Algorithm 4), and returns the intermediate BCC with the minimum query
-/// distance — a 2-approximation of the minimum-diameter BCC (Theorem 3).
-///
-/// Option mapping:
-///   - opts.bulk_delete: remove the whole farthest level per round;
-///   - opts.fast_query_distance: Algorithm 5 incremental BFS repair;
-///   - opts.use_leader_pair: Algorithms 6 + 7 instead of a full Algorithm 3
-///     recount per round.
-///
-/// Used by Online-BCC, LP-BCC (this header) and L2P-BCC (local_search.h).
-/// `b` is the butterfly threshold; `stats` may be null. Does not accumulate
-/// total_seconds (callers own end-to-end timing).
-///
-/// The engine selects each round's farthest batch through an epoch-stamped
-/// bucket queue keyed by query distance, so a round costs O(batch + distance
-/// changes) instead of O(|members|). Passing a warm `ws` additionally makes
-/// the whole round trip free of O(n) allocations; with ws == nullptr a
-/// scoped workspace is used (identical results).
+/// The two-label peel: the m = 2 case of PeelGroups (peel.h, the one
+/// greedy peel shared by Online-, LP-, L2P-BCC and mBCC; its header has the
+/// option mapping). Group 0 is G0's left side around q.ql, group 1 its
+/// right side around q.qr, and pair (0, 1) starts from G0's Algorithm 3
+/// counts, so nothing is recounted. Returns the minimum-query-distance
+/// intermediate BCC, empty when !g0.found. `b` is the butterfly threshold;
+/// `stats` may be null and `ws` may be null (a scoped workspace, identical
+/// results). Does not accumulate total_seconds (callers own end-to-end
+/// timing).
 Community PeelToBcc(const LabeledGraph& g, const G0Result& g0, const BccQuery& q,
                     const SearchOptions& opts, std::uint64_t b, SearchStats* stats,
                     QueryWorkspace* ws = nullptr);
@@ -37,8 +25,8 @@ Community BccSearch(const LabeledGraph& g, const BccQuery& q, const BccParams& p
                     const SearchOptions& opts, SearchStats* stats,
                     QueryWorkspace* ws = nullptr);
 
-/// Paper's Online-BCC: bulk deletion, full BFS distances, full butterfly
-/// recount per round.
+/// Paper's Online-BCC: bulk deletion, full BFS distances, and every
+/// member's chi kept by the delta counter (a full recount only when stale).
 Community OnlineBcc(const LabeledGraph& g, const BccQuery& q, const BccParams& p,
                     SearchStats* stats = nullptr, QueryWorkspace* ws = nullptr);
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bcc/local_search.h"
 #include "bcc/mbcc.h"
 #include "bcc/query_distance.h"
 #include "bcc/verify.h"
+#include "core/label_coreness.h"
 #include "graph/generators.h"
 #include "graph/paper_graphs.h"
 #include "test_util.h"
@@ -72,6 +74,52 @@ TEST(OnlineSearchTest, StatsArePopulated) {
   EXPECT_GE(stats.butterfly_counting_calls, 1u);
   EXPECT_EQ(stats.g0_size, 10u);
   EXPECT_GE(stats.total_seconds, 0.0);
+}
+
+// The five phase timers bill disjoint intervals of one steady clock inside
+// the search's total, so they never sum past it (Find-G0's butterfly count
+// is billed to butterfly_seconds only). 1e-9 s absorbs rounding.
+TEST(OnlineSearchTest, PhaseTimersSumToAtMostTotal) {
+  PlantedConfig cfg;
+  cfg.num_communities = 6;
+  cfg.groups_per_community = 3;
+  cfg.num_labels = 3;
+  cfg.min_group_size = 8;
+  cfg.max_group_size = 16;
+  cfg.intra_edge_prob = 0.5;
+  cfg.noise_cross_fraction = 0.2;
+  cfg.seed = 7;
+  PlantedGraph pg = GeneratePlanted(cfg);
+  const LabeledGraph& g = pg.graph;
+  const LabelCorenessTable table(g);
+  const BcIndex index(g);
+  auto phase_sum = [](const SearchStats& s) {
+    return s.find_g0_seconds + s.query_distance_seconds + s.butterfly_seconds +
+           s.butterfly_delta_seconds + s.leader_update_seconds;
+  };
+  QueryWorkspace ws;
+  for (const LabelCorenessTable* pinned :
+       {static_cast<const LabelCorenessTable*>(nullptr), &table}) {
+    ws.PinLabelCoreness(pinned);
+    for (std::size_t i = 0; i < pg.communities.size(); ++i) {
+      const auto& comm = pg.communities[i];
+      const auto& other = pg.communities[(i + 1) % pg.communities.size()];
+      for (const BccQuery& q : {BccQuery{comm.groups[0][0], comm.groups[1][0]},
+                                BccQuery{comm.groups[0][1], other.groups[1][1]}}) {
+        SearchStats online, lp, l2p, mbcc;
+        OnlineBcc(g, q, BccParams{}, &online, &ws);
+        LpBcc(g, q, BccParams{}, &lp, &ws);
+        L2pBcc(g, index, q, BccParams{}, L2pOptions{}, &l2p, &ws);
+        const MbccQuery mq{{comm.groups[0][0], comm.groups[1][0], comm.groups[2][0]}};
+        MbccSearch(g, mq, MbccParams{}, LpBccOptions(), &mbcc, nullptr, &ws);
+        for (const SearchStats* s : {&online, &lp, &l2p, &mbcc}) {
+          EXPECT_LE(phase_sum(*s), s->total_seconds + 1e-9)
+              << "community " << i << " table=" << (pinned != nullptr);
+        }
+      }
+    }
+  }
+  ws.PinLabelCoreness(nullptr);
 }
 
 struct PeelCase {
